@@ -189,7 +189,7 @@ def _kernel_grid_checks(thetas: Sequence[float], n: int, sign: float) -> list[di
     """
     ts = np.linspace(0.0, 1.0, n + 1)
     g_mat = sign * kernel.green_matrix(ts, ts)  # rows t, cols s
-    g_env = ts * (1.0 - ts) ** 2 / 6.0
+    g_env = kernel.g_weight(ts)
     results = []
 
     worst = int(np.argmin(g_mat))
@@ -304,28 +304,37 @@ def _solution_csv_rows(
         au = np.full(n + 1, np.nan)
     residual = np.full(n + 1, np.nan)
     try:
-        fvals = np.array([f(max(float(x), 0.0)) for x in u.values])
+        fvals = f(np.maximum(u.values, 0.0))
         residual[2:-2] = np.abs(solver.fourth_difference(u.values, u.h) + fvals[2:-2])
-    except (ExprEvalError, OverflowError):
+    except ExprEvalError:
         pass  # diverged iterates can overflow f; leave the column as nan
-    ts = u.ts
-    return [[float(ts[i]), float(u.values[i]), float(au[i]), float(residual[i])]
-            for i in range(n + 1)]
+    return np.column_stack((u.ts, u.values, au, residual)).tolist()
 
 
-def _solve_problem(problem: ProblemFile, u0_override: Optional[str]) -> dict:
-    """Shared by cmd_solve and cmd_reproduce_examples."""
-    h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
-    ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
+def _solve_problem(problem: ProblemFile, h1h2, ctx: KernelContext, u0_override: Optional[str],
+                   out_path, plot_path: Optional[str] = None) -> tuple[dict, int]:
+    """Solve, cross-check, write the CSVs and print the summary; shared by
+    cmd_solve and cmd_reproduce_examples.  Returns the outcome and exit code."""
     config = problem.config(u0_override)
     report = solver.picard_solve(problem.f, ctx, config)
     colloc = solver.collocation_oracle(problem.f, ctx, config)
     agreement = float(np.max(np.abs(report.solution.values - colloc.solution.values)))
     bound_at_start = solver.norm_bound_check(config.initial_guess(), problem.f, ctx)
-    return dict(
+    outcome = dict(
         h1h2=h1h2, ctx=ctx, config=config, report=report, colloc=colloc,
         agreement=agreement, bound_at_start=bound_at_start,
     )
+    rows = _solution_csv_rows(report.solution, problem.f, ctx)
+    _write_csv(out_path, ["t", "u", "Au", "fourth_diff_residual"], rows)
+    if plot_path:
+        _write_csv(plot_path, ["t", "u"], [row[:2] for row in rows])
+    _print_solve_summary(problem, outcome)
+    print(f"solution written to {out_path}")
+    if not (h1h2.h1 and h1h2.h2):
+        return outcome, EXIT_HYPOTHESIS
+    if report.status != "converged" or colloc.status != "converged":
+        return outcome, EXIT_NONCONVERGENCE
+    return outcome, EXIT_OK
 
 
 def _print_solve_summary(problem: ProblemFile, outcome: dict) -> None:
@@ -369,23 +378,10 @@ def _print_solve_summary(problem: ProblemFile, outcome: dict) -> None:
 
 def cmd_solve(args) -> int:
     problem = load_problem(args.file)
-    outcome = _solve_problem(problem, args.u0)
-    report = outcome["report"]
-
+    h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
+    ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
     out_path = args.out or (Path(args.file).stem + ".solution.csv")
-    rows = _solution_csv_rows(report.solution, problem.f, outcome["ctx"])
-    _write_csv(out_path, ["t", "u", "Au", "fourth_diff_residual"], rows)
-    if args.plot_data:
-        _write_csv(args.plot_data, ["t", "u"], [row[:2] for row in rows])
-
-    _print_solve_summary(problem, outcome)
-    print(f"solution written to {out_path}")
-
-    if not (outcome["h1h2"].h1 and outcome["h1h2"].h2):
-        return EXIT_HYPOTHESIS
-    if report.status != "converged" or outcome["colloc"].status != "converged":
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    return _solve_problem(problem, h1h2, ctx, args.u0, out_path, args.plot_data)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +424,26 @@ def _print_analysis(problem: ProblemFile, h1h2, report: hypotheses.HypothesisRep
     return lines
 
 
-def cmd_analyze(args) -> int:
-    problem = load_problem(args.file)
+def _analyze_problem(problem: ProblemFile, out_path: Optional[str] = None):
+    """Print the analysis block (and write it to ``out_path``); shared by
+    cmd_analyze and cmd_reproduce_examples.  Returns (h1h2, ctx, report),
+    with ctx and report None when H2 fails."""
     h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
     if not h1h2.h2:
         print(f"hypothesis H2 fails: alpha = {_fmt(h1h2.alpha)} or negative weight")
-        return EXIT_HYPOTHESIS
+        return h1h2, None, None
     ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
     report = hypotheses.build_report(problem.f, ctx)
     lines = _print_analysis(problem, h1h2, report)
-    if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
-        print(f"analysis written to {args.out}")
-    if not h1h2.h1:
-        return EXIT_HYPOTHESIS
-    return EXIT_OK
+    if out_path:
+        Path(out_path).write_text("\n".join(lines) + "\n")
+        print(f"analysis written to {out_path}")
+    return h1h2, ctx, report
+
+
+def cmd_analyze(args) -> int:
+    h1h2, ctx, _ = _analyze_problem(load_problem(args.file), args.out)
+    return EXIT_OK if ctx is not None and h1h2.h1 else EXIT_HYPOTHESIS
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +466,11 @@ def cmd_reproduce_examples(args) -> int:
         if args.grid is not None:
             problem = dataclasses.replace(problem, grid_n=args.grid)
         print(f"=== {name}: f = {problem.f.source}, a = {problem.a.source} ===")
-        ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
-        h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
-        hyp_report = hypotheses.build_report(problem.f, ctx)
-        _print_analysis(problem, h1h2, hyp_report)
-
-        outcome = _solve_problem(problem, None)
+        h1h2, ctx, hyp_report = _analyze_problem(problem)
+        if ctx is None:
+            return EXIT_HYPOTHESIS
+        outcome, code = _solve_problem(problem, h1h2, ctx, None, out_dir / f"{name}.solution.csv")
         report = outcome["report"]
-        _print_solve_summary(problem, outcome)
-        csv_path = out_dir / f"{name}.solution.csv"
-        _write_csv(csv_path, ["t", "u", "Au", "fourth_diff_residual"],
-                   _solution_csv_rows(report.solution, problem.f, outcome["ctx"]))
-        print(f"solution written to {csv_path}")
 
         # contrast the certified criterion with the computed fixed point
         applicable = hyp_report.f0_zero_applicable or hyp_report.finf_zero_applicable
@@ -493,10 +487,7 @@ def cmd_reproduce_examples(args) -> int:
                 "reach u = 0; both facts are reported here without adjudication."
             )
         print()
-        if report.status != "converged" or outcome["colloc"].status != "converged":
-            exit_code = exit_code or EXIT_NONCONVERGENCE
-        if not (h1h2.h1 and h1h2.h2):
-            exit_code = exit_code or EXIT_HYPOTHESIS
+        exit_code = exit_code or code
     return exit_code
 
 

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+import numpy as np
+
 
 class HypothesisViolation(ValueError):
     """A standing hypothesis on the problem data does not hold.
@@ -20,3 +22,11 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, where: float | None = None):
         super().__init__(message)
         self.where = where
+
+
+def require_nonneg(which: str, name: str, xs: np.ndarray, values: np.ndarray) -> None:
+    """Raise :class:`HypothesisViolation` naming the first negative sample."""
+    negative = np.flatnonzero(values < 0.0)
+    if negative.size:
+        i = negative[0]
+        raise HypothesisViolation(which, f"{name}({float(xs[i])}) = {float(values[i])} < 0")

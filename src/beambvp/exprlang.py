@@ -11,7 +11,7 @@ powers of negative bases, no NaN branches).
 There is no implicit multiplication: ``2u`` is a syntax error.
 
 ``exp`` is the only built-in function; adding another means extending
-``FUNCTION_NAMES``, the ``Call`` arm of ``_eval_node``, and nothing else.
+``FUNCTION_NAMES``, the ``Call`` arm of ``_eval``, and nothing else.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import Union
+
+import numpy as np
 
 VARIABLE_NAMES = ("u", "t")
 FUNCTION_NAMES = ("exp",)
@@ -37,11 +39,18 @@ class ExprSyntaxError(ValueError):
 
 
 class ExprEvalError(ArithmeticError):
-    """Evaluation failure (division by zero, overflow), with node offset."""
+    """Evaluation failure (division by zero, overflow) at node ``offset``.
 
-    def __init__(self, message: str, offset: int):
+    ``index`` (flat, in input order) and ``x`` locate the first failing
+    element; ``values`` is the result with NaN at every failing element.
+    """
+
+    def __init__(self, message: str, offset: int, index: int, x: float, values: np.ndarray):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
+        self.index = index
+        self.x = x
+        self.values = values
 
 
 @dataclass(frozen=True)
@@ -249,17 +258,36 @@ class _Parser:
 class ExpressionFn:
     """A parsed scalar function of one variable.
 
-    Callable: ``fn(x)`` evaluates the expression with the variable bound
-    to ``x``.  Trees are immutable and evaluation is pure, so instances
-    may be shared across threads.
+    Callable: ``fn(x)`` evaluates the expression at ``x`` in one tree walk
+    over numpy arrays: a float gives a float, an array an array of its
+    shape.  An element fails, raising :class:`ExprEvalError`, on a division
+    by exactly 0.0, a non-finite result of ``+ - * /`` or ``^``, or an
+    ``exp`` overflow.  Trees are immutable and evaluation is pure, so
+    instances may be shared across threads.
     """
 
     source: str
     var: str | None
     ast: Node
 
-    def __call__(self, x: float) -> float:
-        return _eval_node(self.ast, x)
+    def __call__(self, x):
+        xs = np.asarray(x, dtype=float)
+        first = np.full(xs.shape, -1)  # per element: index of its first failure
+        failures: list[tuple[str, int]] = []
+
+        def fail(bad, message: str, pos: int):
+            if np.any(bad):
+                first[bad & (first < 0)] = len(failures)
+                failures.append((message, pos))
+
+        with np.errstate(all="ignore"):
+            values = np.array(np.broadcast_to(_eval(self.ast, xs, fail), xs.shape))
+        if failures:
+            index = int(np.argmax(first.ravel() >= 0))
+            values[first >= 0] = np.nan
+            message, pos = failures[first.ravel()[index]]
+            raise ExprEvalError(message, pos, index, float(xs.ravel()[index]), values)
+        return float(values) if xs.ndim == 0 else values
 
     def pretty(self) -> str:
         """Fully parenthesized source form; reparses to an identical tree."""
@@ -283,51 +311,34 @@ def parse(src: str, var: str | None = None) -> ExpressionFn:
     return ExpressionFn(source=src, var=parser.seen_var or var, ast=node)
 
 
-def evaluate(fn: ExpressionFn, x: float) -> float:
-    """Evaluate ``fn`` at ``x``; function-call alias for ``fn(x)``."""
-    return fn(x)
+_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _eval_node(node: Node, x: float) -> float:
+def _eval(node: Node, x: np.ndarray, fail):
+    """Post-order walk, so ``fail`` sees each element's checks in the order
+    a one-point evaluation meets them."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return x
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, x)
-    if isinstance(node, BinOp):
-        left = _eval_node(node.left, x)
-        right = _eval_node(node.right, x)
-        if node.op == "+":
-            value = left + right
-        elif node.op == "-":
-            value = left - right
-        elif node.op == "*":
-            value = left * right
-        else:
-            if right == 0.0:
-                raise ExprEvalError("division by zero", node.pos)
-            value = left / right
-        return _require_finite(value, node.pos)
-    if isinstance(node, Power):
-        base = _eval_node(node.base, x)
-        try:
-            value = base**node.exponent
-        except OverflowError:
-            raise ExprEvalError("overflow in power", node.pos) from None
-        return _require_finite(value, node.pos)
+        return -_eval(node.operand, x, fail)
     if isinstance(node, Call):
-        arg = _eval_node(node.arg, x)
-        try:
-            return math.exp(arg)
-        except OverflowError:
-            raise ExprEvalError("overflow in exp", node.pos) from None
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _require_finite(value: float, pos: int) -> float:
-    if not math.isfinite(value):
-        raise ExprEvalError("overflow", pos)
+        arg = _eval(node.arg, x, fail)
+        value = np.exp(arg)
+        fail(np.isinf(value) & np.isfinite(arg), "overflow in exp", node.pos)
+        return value
+    if isinstance(node, Power):
+        base = _eval(node.base, x, fail)
+        value = np.power(base, float(node.exponent))
+        fail(~np.isfinite(value) & np.isfinite(base), "overflow in power", node.pos)
+    else:
+        left = _eval(node.left, x, fail)
+        right = _eval(node.right, x, fail)
+        if node.op == "/":
+            fail(right == 0.0, "division by zero", node.pos)
+        value = _BINOPS[node.op](left, right)
+    fail(~np.isfinite(value), "overflow", node.pos)
     return value
 
 

@@ -30,8 +30,9 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_callable(cls, fn: Callable[[float], float], n: int) -> "GridFunction":
-        return cls(n, np.array([fn(i / n) for i in range(n + 1)], dtype=float))
+    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "GridFunction":
+        """Samples of ``fn``, called once on the array of nodes i/n."""
+        return cls(n, np.broadcast_to(fn(np.arange(n + 1) / n), (n + 1,)))
 
     @classmethod
     def zeros(cls, n: int) -> "GridFunction":

@@ -28,8 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import quadrature
-from .errors import HypothesisViolation
+from . import kernel, quadrature
+from .errors import require_nonneg
 from .exprlang import ExprEvalError
 from .kernel import KernelContext
 from .quadrature import QuadratureSettings
@@ -42,7 +42,7 @@ RHO1_MIN = 1e-6
 BOUNDEDNESS_CAP = 1e6
 MARGIN_SLACK = 1e-12
 
-ScalarFn = Callable[[float], float]
+ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -63,31 +63,28 @@ class LimitEstimate:
         return self.converged and self.value is not None and abs(self.value) < CONVERGENCE_RTOL
 
 
-def _ratio_schedule(f: ScalarFn, us: list[float]) -> LimitEstimate:
-    samples: list[tuple[float, float]] = []
-    for u in us:
-        try:
-            fu = f(u)
-        except ExprEvalError:
-            return LimitEstimate(None, False, True, tuple(samples))
-        if fu < 0.0:
-            raise HypothesisViolation("H1", f"f({u}) = {fu} < 0")
-        samples.append((u, fu / u))
+def _ratio_schedule(f: ArrayFn, us: np.ndarray) -> LimitEstimate:
+    try:
+        fus, stop = f(us), len(us)
+    except ExprEvalError as exc:  # f overflowed: keep the samples before it
+        fus, stop = exc.values, exc.index
+    require_nonneg("H1", "f", us[:stop], fus[:stop])
+    samples = tuple(zip(us[:stop].tolist(), (fus / us)[:stop].tolist()))
     ratios = [r for _, r in samples]
-    if ratios[-1] >= DIVERGENCE_LIMIT and ratios[-1] > ratios[-2]:
-        return LimitEstimate(None, False, True, tuple(samples))
+    if stop < len(us) or (ratios[-1] >= DIVERGENCE_LIMIT and ratios[-1] > ratios[-2]):
+        return LimitEstimate(None, False, True, samples)
     converged = abs(ratios[-1] - ratios[-2]) < CONVERGENCE_RTOL * (1.0 + abs(ratios[-1]))
-    return LimitEstimate(ratios[-1], converged, False, tuple(samples))
+    return LimitEstimate(ratios[-1], converged, False, samples)
 
 
-def estimate_f0(f: ScalarFn) -> LimitEstimate:
+def estimate_f0(f: ArrayFn) -> LimitEstimate:
     """f(u)/u along u = 10^-k, k = 1..12."""
-    return _ratio_schedule(f, [10.0**-k for k in range(1, 13)])
+    return _ratio_schedule(f, np.array([10.0**-k for k in range(1, 13)]))
 
 
-def estimate_finf(f: ScalarFn) -> LimitEstimate:
+def estimate_finf(f: ArrayFn) -> LimitEstimate:
     """f(u)/u along u = 10^k, k = 1..8."""
-    return _ratio_schedule(f, [10.0**k for k in range(1, 9)])
+    return _ratio_schedule(f, np.array([10.0**k for k in range(1, 9)]))
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,7 @@ def _scan_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
     return np.logspace(lo_exp, hi_exp, SCAN_POINTS)
 
 
-def certify_f0_zero(f: ScalarFn, ctx: KernelContext) -> Optional[F0Certificate]:
+def certify_f0_zero(f: ArrayFn, ctx: KernelContext) -> Optional[F0Certificate]:
     """Certificate for the small-amplitude criterion, or None.
 
     epsilon is pinned at its largest admissible value 1 - alpha (this
@@ -129,7 +126,7 @@ def certify_f0_zero(f: ScalarFn, ctx: KernelContext) -> Optional[F0Certificate]:
         return None
     epsilon = 1.0 - ctx.alpha
     us = _scan_grid(-9.0, math.log10(RHO1_CAP))
-    margins = np.array([f(float(u)) - epsilon * u for u in us])
+    margins = f(us) - epsilon * us
     bad = np.nonzero(margins > MARGIN_SLACK)[0]
     if bad.size == 0:
         return F0Certificate(epsilon=epsilon, rho1=RHO1_CAP)
@@ -150,7 +147,7 @@ def certify_f0_zero(f: ScalarFn, ctx: KernelContext) -> Optional[F0Certificate]:
     return F0Certificate(epsilon=epsilon, rho1=lo)
 
 
-def certify_finf_zero(f: ScalarFn, ctx: KernelContext) -> Optional[FInfCertificate]:
+def certify_finf_zero(f: ArrayFn, ctx: KernelContext) -> Optional[FInfCertificate]:
     """Certificate for the large-amplitude criterion, or None.
 
     Boundedness probe: scan f on a log grid over (0, 1e6] (plus u = 0);
@@ -161,7 +158,7 @@ def certify_finf_zero(f: ScalarFn, ctx: KernelContext) -> Optional[FInfCertifica
     if not estimate_finf(f).is_zero():
         return None
     us = _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))
-    fvals = np.array([f(float(u)) for u in us])
+    fvals = f(us)
     f_at_zero = f(0.0)
     sup_full = max(float(np.max(fvals)), f_at_zero)
     head = us <= BOUNDEDNESS_CAP / 10.0
@@ -193,7 +190,7 @@ class H1H2Report:
 
 
 def check_h1_h2(
-    f: ScalarFn, a: ScalarFn, quad: QuadratureSettings = quadrature.DEFAULT_SETTINGS
+    f: ArrayFn, a: ArrayFn, quad: QuadratureSettings = quadrature.DEFAULT_SETTINGS
 ) -> H1H2Report:
     """Sampled verdicts on the two standing hypotheses.
 
@@ -202,18 +199,13 @@ def check_h1_h2(
     skipped, since overflow says magnitude, not sign).  h2: a >= 0 on
     sampled [0, 1] and its total mass alpha lies strictly in (0, 1).
     """
-    h1 = True
-    for u in [0.0, *(_scan_grid(-9.0, 6.0).tolist())]:
-        try:
-            if f(float(u)) < 0.0:
-                h1 = False
-                break
-        except ExprEvalError:
-            continue
-    sample_ts = np.union1d(np.linspace(0.0, 1.0, 1001), quadrature.nodes(0.0, 1.0, quad))
-    a_nonneg = all(a(float(t)) >= 0.0 for t in sample_ts)
-    alpha = quadrature.integrate(a, 0.0, 1.0, quad)
-    return H1H2Report(h1=h1, h2=a_nonneg and 0.0 < alpha < 1.0, alpha=alpha)
+    try:
+        fvals = f(np.concatenate(([0.0], _scan_grid(-9.0, 6.0))))
+    except ExprEvalError as exc:
+        fvals = exc.values  # NaN where f overflowed: those points are skipped
+    _, a_vals, alpha = kernel._weight_samples(a, quad)
+    h2 = bool(np.all(a_vals >= 0.0)) and 0.0 < alpha < 1.0
+    return H1H2Report(h1=not np.any(fvals < 0.0), h2=h2, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -236,7 +228,7 @@ class HypothesisReport:
     finf_zero_applicable: bool
 
 
-def build_report(f: ScalarFn, ctx: KernelContext) -> HypothesisReport:
+def build_report(f: ArrayFn, ctx: KernelContext) -> HypothesisReport:
     """Run both estimates and both certifications against a valid context."""
     f0 = estimate_f0(f)
     finf = estimate_finf(f)

@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from . import quadrature
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, require_nonneg
 from .exprlang import ExpressionFn
 from .quadrature import QuadratureSettings
 
@@ -59,14 +59,14 @@ def green_matrix(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return _green_raw(ts[:, None], ss[None, :])
 
 
-def g_weight(s: float) -> float:
+def g_weight(s: _ArrayLike) -> _ArrayLike:
     """Upper envelope g(s) = s (1-s)^2 / 6 = G(1, s); vanishes at 0 and 1."""
     _check_unit(s, "s")
     return s * (1.0 - s) ** 2 / 6.0
 
 
-def _check_unit(x: float, name: str):
-    if not 0.0 <= x <= 1.0:
+def _check_unit(x: _ArrayLike, name: str):
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise ValueError(f"{name} = {x} outside [0, 1]")
 
 
@@ -99,6 +99,13 @@ class KernelContext:
         return self.theta**3 * (1.0 - self.alpha + self.beta)
 
 
+def _weight_samples(weight: ExpressionFn, quad: QuadratureSettings) -> tuple:
+    """(ts, a(ts), alpha): the H2 sample set, 1001 uniform points plus the
+    quadrature abscissae, the weight on it, and its mass over [0, 1]."""
+    ts = np.union1d(np.linspace(0.0, 1.0, 1001), quadrature.nodes(0.0, 1.0, quad))
+    return ts, weight(ts), quadrature.integrate(weight, 0.0, 1.0, quad)
+
+
 def make_context(
     weight: ExpressionFn,
     theta: float = DEFAULT_THETA,
@@ -112,12 +119,8 @@ def make_context(
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
-    sample_ts = np.union1d(np.linspace(0.0, 1.0, 1001), quadrature.nodes(0.0, 1.0, quad))
-    for t in sample_ts:
-        value = weight(float(t))
-        if value < 0.0:
-            raise HypothesisViolation("H2", f"a({t}) = {value} < 0")
-    alpha = quadrature.integrate(weight, 0.0, 1.0, quad)
+    ts, a_vals, alpha = _weight_samples(weight, quad)
+    require_nonneg("H2", "a", ts, a_vals)
     if not 0.0 < alpha < 1.0:
         raise HypothesisViolation(
             "H2", f"total mass of a over [0,1] is {alpha}, required strictly inside (0, 1)"
@@ -136,8 +139,7 @@ def correction_values(ctx: KernelContext, ss: np.ndarray) -> np.ndarray:
     """
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     taus, ws = quadrature.nodes_weights(0.0, 1.0, ctx.quad)
-    a_vals = np.array([ctx.weight(float(tau)) for tau in taus])
-    return (a_vals * ws) @ green_matrix(taus, ss) / (1.0 - ctx.alpha)
+    return (ctx.weight(taus) * ws) @ green_matrix(taus, ss) / (1.0 - ctx.alpha)
 
 
 def modified_kernel(t: float, s: float, ctx: KernelContext) -> float:

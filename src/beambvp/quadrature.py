@@ -69,28 +69,29 @@ def nodes_weights(
 
 
 def integrate(
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Approximate the integral of ``fn`` over [lo, hi].
 
-    Exact for polynomials up to the rule's per-panel degree (midpoint 1,
-    Simpson 3, gauss5 9).  A non-finite sample raises
-    :class:`NumericError` carrying the offending abscissa.
+    ``fn`` is called once, on the array of abscissae, and returns the
+    integrand values there.  Exact for polynomials up to the rule's
+    per-panel degree (midpoint 1, Simpson 3, gauss5 9).  A non-finite
+    sample raises :class:`NumericError` carrying the first offending
+    abscissa.
     """
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if lo == hi:
         return 0.0
     xs = nodes(lo, hi, settings)
-    ys = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        y = fn(float(x))
-        if not np.isfinite(y):
-            raise NumericError(f"integrand returned {y!r} at x = {x}", where=float(x))
-        ys[i] = y
+    ys = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
+    bad = np.flatnonzero(~np.isfinite(ys))
+    if bad.size:
+        x = float(xs[bad[0]])
+        raise NumericError(f"integrand returned {float(ys[bad[0]])!r} at x = {x}", where=x)
     _, wref = _PANEL[settings.rule]
     width = (hi - lo) / settings.panels
     return float(np.dot(ys.reshape(settings.panels, -1).sum(axis=0), wref) * width)

@@ -30,10 +30,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import quadrature
-from .errors import HypothesisViolation, NumericError
+from .errors import NumericError, require_nonneg
 from .exprlang import ExpressionFn, ExprEvalError
 from .grid import GridFunction, NONNEG_SLACK
-from .kernel import KernelContext
+from .kernel import KernelContext, g_weight
 from .linear import ConeCheck, cone_ratio, operator_matrix
 
 TRIVIALITY_THRESHOLD = 1e-8
@@ -124,12 +124,8 @@ def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
     if u.min() < -NONNEG_SLACK:
         raise ValueError(f"u has negative entries (min {u.min()}); operator needs u >= 0")
     xs = np.maximum(u.values, 0.0)
-    out = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        value = f(float(x))
-        if value < 0.0:
-            raise HypothesisViolation("H1", f"f({x}) = {value} < 0")
-        out[i] = value
+    out = f(xs)
+    require_nonneg("H1", "f", xs, out)
     return out
 
 
@@ -186,7 +182,7 @@ def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeRes
         raise ValueError(f"grid too coarse for fourth differences: n={u.n} < 9")
     fvals = _f_values(u, f)
     interior = float(np.max(np.abs(fourth_difference(u.values, u.h) + fvals[2:-2])))
-    a_u = GridFunction(u.n, np.array([ctx.weight(t) for t in u.ts]) * u.values)
+    a_u = GridFunction(u.n, ctx.weight(u.ts) * u.values)
     bc = max(
         abs(endpoint_d1(u.values, u.h, "left")),
         abs(endpoint_d1(u.values, u.h, "right")),
@@ -196,13 +192,9 @@ def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeRes
     return OdeResidual(interior=interior, bc=bc)
 
 
-def _g_values(ts: np.ndarray) -> np.ndarray:
-    return ts * (1.0 - ts) ** 2 / 6.0
-
-
 def _bound_value(u: GridFunction, fvals: np.ndarray, ctx: KernelContext) -> float:
     """(1/(1-alpha)) * integral of g(s) f(u(s)) ds by grid quadrature."""
-    gf = np.dot(quadrature.grid_weights(u.n, ctx.quad), _g_values(u.ts) * fvals)
+    gf = np.dot(quadrature.grid_weights(u.n, ctx.quad), g_weight(u.ts) * fvals)
     return float(gf) / (1.0 - ctx.alpha)
 
 
@@ -263,11 +255,11 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
     )
 
 
-def _f_derivative(f: ExpressionFn, x: float, delta: float = 1e-6) -> float:
-    """df/du by finite differences, one-sided near the domain edge u = 0."""
-    if x >= delta:
-        return (f(x + delta) - f(x - delta)) / (2.0 * delta)
-    return (f(x + delta) - f(max(x, 0.0))) / delta
+def _f_derivative(f: ExpressionFn, x: np.ndarray, delta: float = 1e-6) -> np.ndarray:
+    """df/du at x >= 0 by finite differences, one-sided near the domain edge u = 0."""
+    central = x >= delta
+    lower = np.where(central, x - delta, x)
+    return (f(x + delta) - f(lower)) / np.where(central, 2.0 * delta, delta)
 
 
 def _collocation_system(
@@ -278,7 +270,7 @@ def _collocation_system(
     r = np.empty(n + 1)
     r[0] = np.dot(_D1_FORWARD, u[:4])  # h * u'(0)
     r[1] = np.dot(_D2_FORWARD, u[:5])  # h^2 * u''(0)
-    fvals = np.array([f(max(float(x), 0.0)) for x in u[2:-2]])
+    fvals = f(np.maximum(u[2:-2], 0.0))
     r[2 : n - 1] = (
         u[:-4] - 4.0 * u[1:-3] + 6.0 * u[2:-2] - 4.0 * u[3:-1] + u[4:] + h**4 * fvals
     )
@@ -294,7 +286,7 @@ def _collocation_jacobian(
     jac = scipy.sparse.lil_matrix((n + 1, n + 1))
     jac[0, 0:4] = _D1_FORWARD
     jac[1, 0:5] = _D2_FORWARD
-    fprime = np.array([_f_derivative(f, max(float(x), 0.0)) for x in u[2:-2]])
+    fprime = _f_derivative(f, np.maximum(u[2:-2], 0.0))
     for offset, coeff in enumerate(_D4_CENTRAL):
         idx = np.arange(2, n - 1)
         jac[idx, idx + offset - 2] = coeff + (h**4 * fprime if offset == 2 else 0.0)
@@ -321,8 +313,7 @@ def collocation_oracle(
     if n < 20:
         raise ValueError(f"collocation grid needs n >= 20, got n={n}")
     h = 1.0 / n
-    ts = np.linspace(0.0, 1.0, n + 1)
-    aw = quadrature.grid_weights(n, ctx.quad) * np.array([ctx.weight(float(t)) for t in ts])
+    aw = quadrature.grid_weights(n, ctx.quad) * ctx.weight(np.linspace(0.0, 1.0, n + 1))
 
     u = config.initial_guess().values.copy()
     residual = _collocation_system(u, f, ctx, aw, h)
@@ -350,7 +341,7 @@ def collocation_oracle(
             try:
                 cand_res = _collocation_system(candidate, f, ctx, aw, h)
                 cand_norm = float(np.max(np.abs(cand_res)))
-            except (ExprEvalError, OverflowError):
+            except ExprEvalError:
                 cand_norm = math.inf  # f overflowed at this step length; halve
             if np.isfinite(cand_norm) and cand_norm < res_norm:
                 u, residual, res_norm = candidate, cand_res, cand_norm

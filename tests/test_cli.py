@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,17 @@ def test_reproduce_examples(tmp_path, capsys):
     assert "without adjudication" in out
     for name in ("example_a", "example_b"):
         assert (tmp_path / f"{name}.solution.csv").exists()
+
+
+def test_reproduce_examples_prints_the_analyze_block(tmp_path, capsys):
+    fixture = resources.files("beambvp.fixtures").joinpath("example_a.problem")
+    path = write_problem(tmp_path, fixture.read_text(), "example_a.problem")
+    assert cli.main(["analyze", path]) == 0
+    analyze = capsys.readouterr().out.splitlines()
+    assert cli.main(["reproduce-examples", "--grid", "200", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("=== example_a:")) + 1
+    assert len(analyze) == 20 and lines[start : start + 20] == analyze
 
 
 def test_reproduce_examples_theta_independent_verdicts(tmp_path, capsys):

@@ -179,6 +179,19 @@ def test_h1_tolerates_overflow():
     assert check_h1_h2(parse("exp(u)", "u"), A_QUADRATIC).h1
 
 
+def test_h1_scan_continues_past_failures():
+    # f fails near u = 0 (division by zero, exp overflow) and is negative beyond
+    assert not check_h1_h2(parse("exp(1/u)-2", "u"), A_QUADRATIC).h1
+
+
+def test_schedule_keeps_samples_before_first_failure():
+    # negative only past the failing point u = 1000: divergent, no violation
+    est = estimate_finf(parse("1/(1000-u)", "u"))
+    assert est.divergent and [u for u, _ in est.samples] == [10.0, 100.0]
+    with pytest.raises(HypothesisViolation):
+        estimate_finf(parse("1/(u-1000)", "u"))  # negative before it
+
+
 # --- assembled report -------------------------------------------------------
 
 

@@ -36,6 +36,11 @@ def test_g_weight_values():
     assert g_weight(0.5) == pytest.approx(1.0 / 48.0, abs=1e-16)
     with pytest.raises(ValueError):
         g_weight(1.5)
+    values = g_weight(np.array([0.0, 0.5, 1.0]))
+    assert values.shape == (3,) and values[0] == values[2] == 0.0
+    assert values[1] == pytest.approx(1.0 / 48.0, abs=1e-16)
+    with pytest.raises(ValueError):
+        g_weight(np.array([0.5, 1.5]))
 
 
 def test_green_nonnegative_on_grid():
