@@ -17,7 +17,7 @@ from .hypotheses import (
     estimate_f0,
     estimate_finf,
 )
-from .kernel import KernelContext, g_weight, green, make_context, modified_kernel
+from .kernel import KernelContext, g_weight, green, make_context
 from .linear import ConeCheck, cone_ratio, polynomial_oracle, solve_linear
 from .quadrature import QuadratureSettings, Rule, integrate, integrate_grid
 from .solver import (
@@ -71,7 +71,6 @@ __all__ = [
     "integrate",
     "integrate_grid",
     "make_context",
-    "modified_kernel",
     "norm_bound_check",
     "parse",
     "picard_solve",

@@ -300,8 +300,8 @@ def _solution_csv_rows(
     n = u.n
     try:
         au = solver.apply_A(u, f, ctx).values
-    except (HypothesisViolation, NumericError, ValueError):
-        au = np.full(n + 1, np.nan)
+    except (HypothesisViolation, NumericError, ValueError, ExprEvalError):
+        au = np.full(n + 1, np.nan)  # diverged iterates can overflow f
     residual = np.full(n + 1, np.nan)
     try:
         fvals = f(np.maximum(u.values, 0.0))

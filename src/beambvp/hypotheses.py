@@ -63,11 +63,17 @@ class LimitEstimate:
         return self.converged and self.value is not None and abs(self.value) < CONVERGENCE_RTOL
 
 
-def _ratio_schedule(f: ArrayFn, us: np.ndarray) -> LimitEstimate:
+def _scan(f: ArrayFn, us: np.ndarray) -> tuple[np.ndarray, int]:
+    """(f(us), stop): f on the scan, valid before index ``stop``; stop is
+    the first point where f fails to evaluate (overflow), or len(us)."""
     try:
-        fus, stop = f(us), len(us)
-    except ExprEvalError as exc:  # f overflowed: keep the samples before it
-        fus, stop = exc.values, exc.index
+        return f(us), len(us)
+    except ExprEvalError as exc:
+        return exc.values, exc.index
+
+
+def _ratio_schedule(f: ArrayFn, us: np.ndarray) -> LimitEstimate:
+    fus, stop = _scan(f, us)  # f overflowed at stop: keep the samples before it
     require_nonneg("H1", "f", us[:stop], fus[:stop])
     samples = tuple(zip(us[:stop].tolist(), (fus / us)[:stop].tolist()))
     ratios = [r for _, r in samples]
@@ -118,19 +124,20 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext) -> Optional[F0Certificate]:
     epsilon is pinned at its largest admissible value 1 - alpha (this
     maximizes rho1; the criterion only needs the inequality).  rho1 is
     located by scanning a log grid up to 1e3 and bisecting the first
-    envelope crossing of f(u) = epsilon * u; the greatest certifiable
-    radius is capped at 1e3.  Returns None when the f0 estimate is not
+    envelope crossing of f(u) = epsilon * u (a scan point where f
+    overflows counts as a crossing); the greatest certifiable radius is
+    capped at 1e3.  Returns None when the f0 estimate is not
     approximately zero or no radius >= 1e-6 exists.
     """
     if not estimate_f0(f).is_zero():
         return None
     epsilon = 1.0 - ctx.alpha
     us = _scan_grid(-9.0, math.log10(RHO1_CAP))
-    margins = f(us) - epsilon * us
-    bad = np.nonzero(margins > MARGIN_SLACK)[0]
-    if bad.size == 0:
+    fus, stop = _scan(f, us)  # a point where f overflows lies above the ray
+    bad = np.nonzero(fus[:stop] - epsilon * us[:stop] > MARGIN_SLACK)[0]
+    first_bad = int(bad[0]) if bad.size else stop
+    if first_bad == len(us):
         return F0Certificate(epsilon=epsilon, rho1=RHO1_CAP)
-    first_bad = int(bad[0])
     if first_bad == 0:
         return None
     lo, hi = float(us[first_bad - 1]), float(us[first_bad])
@@ -154,11 +161,14 @@ def certify_finf_zero(f: ArrayFn, ctx: KernelContext) -> Optional[FInfCertificat
     if the supremum shows no growth in the last decade it is taken as
     stable and Case 1 returns L = observed sup * (1 + 1e-6).  Otherwise
     Case 2 constants are built from the same scan with eta = 1 - alpha.
+    Returns None when f overflows anywhere on the scan.
     """
     if not estimate_finf(f).is_zero():
         return None
     us = _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))
-    fvals = f(us)
+    fvals, stop = _scan(f, us)
+    if stop < len(us):
+        return None  # f overflows the float range on the probe: no finite L or sigma
     f_at_zero = f(0.0)
     sup_full = max(float(np.max(fvals)), f_at_zero)
     head = us <= BOUNDEDNESS_CAP / 10.0
@@ -199,10 +209,8 @@ def check_h1_h2(
     skipped, since overflow says magnitude, not sign).  h2: a >= 0 on
     sampled [0, 1] and its total mass alpha lies strictly in (0, 1).
     """
-    try:
-        fvals = f(np.concatenate(([0.0], _scan_grid(-9.0, 6.0))))
-    except ExprEvalError as exc:
-        fvals = exc.values  # NaN where f overflowed: those points are skipped
+    # NaN where f overflowed: those points are skipped
+    fvals, _ = _scan(f, np.concatenate(([0.0], _scan_grid(-9.0, 6.0))))
     _, a_vals, alpha = kernel._weight_samples(a, quad)
     h2 = bool(np.all(a_vals >= 0.0)) and 0.0 < alpha < 1.0
     return H1H2Report(h1=not np.any(fvals < 0.0), h2=h2, alpha=alpha)

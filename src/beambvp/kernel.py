@@ -31,7 +31,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import HypothesisViolation, require_nonneg
-from .exprlang import ExpressionFn
+from .exprlang import ExpressionFn, ExprEvalError
 from .quadrature import QuadratureSettings
 
 DEFAULT_THETA = 0.25
@@ -75,9 +75,7 @@ class KernelContext:
     """Boundary weight a(t) with its derived constants and quadrature choice.
 
     Assembled by :func:`make_context`, which enforces (H2): a >= 0 on the
-    sampled interval and 0 < alpha < 1.  Instances are immutable; derived
-    operator matrices are memoized on the context (keyed by grid size), so
-    concurrent reads are safe once construction finishes.
+    sampled interval and 0 < alpha < 1.  Instances are immutable.
 
     alpha is the total mass of a over [0, 1]; beta the mass over
     [theta, 1 - theta].  The cone constant theta^3 (1 - alpha + beta)
@@ -91,9 +89,6 @@ class KernelContext:
     beta: float
     quad: QuadratureSettings = field(default=quadrature.DEFAULT_SETTINGS)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_op_cache", {})
-
     @property
     def cone_constant(self) -> float:
         return self.theta**3 * (1.0 - self.alpha + self.beta)
@@ -103,7 +98,11 @@ def _weight_samples(weight: ExpressionFn, quad: QuadratureSettings) -> tuple:
     """(ts, a(ts), alpha): the H2 sample set, 1001 uniform points plus the
     quadrature abscissae, the weight on it, and its mass over [0, 1]."""
     ts = np.union1d(np.linspace(0.0, 1.0, 1001), quadrature.nodes(0.0, 1.0, quad))
-    return ts, weight(ts), quadrature.integrate(weight, 0.0, 1.0, quad)
+    try:
+        a_vals = weight(ts)
+    except ExprEvalError as exc:
+        raise HypothesisViolation("H2", f"a cannot be evaluated at t = {exc.x}: {exc}") from exc
+    return ts, a_vals, quadrature.integrate(weight, 0.0, 1.0, quad)
 
 
 def make_context(
@@ -130,18 +129,18 @@ def make_context(
     return KernelContext(weight=weight, theta=theta, alpha=alpha, beta=beta, quad=quad)
 
 
+def correction_rule(ctx: KernelContext) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, weights) with c(s) = sum of weights * G(taus, s): the context's
+    quadrature rule for the tau integral, folded with a(tau) / (1 - alpha)."""
+    taus, ws = quadrature.nodes_weights(0.0, 1.0, ctx.quad)
+    return taus, ctx.weight(taus) * ws / (1.0 - ctx.alpha)
+
+
 def correction_values(ctx: KernelContext, ss: np.ndarray) -> np.ndarray:
     """c(s) = (1/(1-alpha)) * integral of a(tau) G(tau, s) d tau, vectorized in s.
 
-    This is the t-independent part of the modified kernel; callers that
-    assemble operator matrices evaluate it once per s-node rather than per
-    (t, s) pair.
+    This is the t-independent part of the modified kernel
+    H(t, s) = G(t, s) + c(s).
     """
-    ss = np.atleast_1d(np.asarray(ss, dtype=float))
-    taus, ws = quadrature.nodes_weights(0.0, 1.0, ctx.quad)
-    return (ctx.weight(taus) * ws) @ green_matrix(taus, ss) / (1.0 - ctx.alpha)
-
-
-def modified_kernel(t: float, s: float, ctx: KernelContext) -> float:
-    """H(t, s) = G(t, s) + c(s) >= G(t, s) >= 0."""
-    return green(t, s) + float(correction_values(ctx, np.array([s]))[0])
+    taus, weights = correction_rule(ctx)
+    return weights @ green_matrix(taus, np.atleast_1d(np.asarray(ss, dtype=float)))

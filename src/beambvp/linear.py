@@ -1,31 +1,40 @@
 """Linear solves through the kernel representation, plus exact oracles.
 
 ``operator_matrix`` discretizes u(t) = integral of H(t, s) y(s) ds as a
-dense matrix M acting on grid values of y.  M is built by product
-integration: y is replaced by its piecewise-quadratic interpolant on
-node-pair panels and the kernel moments are integrated exactly
-(3-point Gauss per panel, split at the diagonal kink of G when it falls
-inside a panel).  Two properties follow that a plain
+matrix-free operator on grid values of y.  y is replaced by its
+piecewise-quadratic interpolant on node-pair panels, and every integral
+of it against G is exact.  G is cubic in t - s on either side of the
+diagonal, so
+
+    integral of G(t, s) y(s) ds = (t^3 J2(1) - J3(t)) / 6,
+    Jm(t) = integral over [0, t] of (t - s)^m y(s) ds.
+
+Jm at the panel starts follows from J0..Jm at the previous start by a
+binomial shift plus the exact moment of one panel: four chained prefix
+sums that add, never subtract, earlier moments, so nothing large
+cancels.  A point inside a panel adds the closed-form partial-panel
+moment.  The nonlocal constant, integral of c(s) y(s) ds, is the same
+evaluator summed over :func:`kernel.correction_rule`.  One application
+is O(n) in time and memory.  Two properties follow that a plain
 sample-the-kernel-at-nodes Nystrom matrix does not give:
 
-* the matrix is exact (to roundoff) whenever y is piecewise quadratic,
+* the operator is exact (to roundoff) whenever y is piecewise quadratic,
   so polynomial oracle comparisons are limited only by interpolation of
   y, not by kernel quadrature error across the kink;
 * the discretization error varies smoothly with t, so fourth-difference
   residuals of solutions are not polluted by panel-parity noise from the
   kink (that noise is O(1) after division by h^4).
-
-The matrix depends only on (context, n); it is assembled once and
-memoized on the context, and shared by the nonlinear operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from . import kernel
 from .errors import HypothesisViolation
@@ -34,66 +43,52 @@ from .kernel import KernelContext
 
 CONE_SLACK = 1e-10
 
-# 3-point Gauss-Legendre on [0, 1]: exact through degree 5, enough for
-# (cubic kernel branch) x (quadratic basis)
-_GX, _GW = np.polynomial.legendre.leggauss(3)
-_GX = (_GX + 1.0) / 2.0
-_GW = _GW / 2.0
+# integral over [0, 1] of r^m phi_b(1 - r) dr, phi_b the Lagrange basis on
+# {0, 1/2, 1}: the m-th moment of one unit panel about its right end
+_PANEL_MOMENTS = np.array(
+    [[1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 3, 0.0],
+     [3 / 20, 1 / 5, -1 / 60], [2 / 15, 2 / 15, -1 / 60]]
+)
 
 
-def _quad_basis(x: np.ndarray) -> np.ndarray:
-    """Lagrange basis on nodes {0, 1/2, 1} evaluated at x; shape (len(x), 3)."""
-    return np.stack(
-        [(1.0 - x) * (1.0 - 2.0 * x), 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)], axis=-1
-    )
+def _partial_moment3(xi: np.ndarray) -> np.ndarray:
+    """integral over [0, xi] of (xi - z)^3 phi_b(z) dz; shape (3, len(xi))."""
+    x4, x5, x6 = xi**4, xi**5, xi**6
+    return np.stack([x4 / 4 - 3 * x5 / 20 + x6 / 30, x5 / 5 - x6 / 15, x6 / 30 - x5 / 20])
 
 
-def operator_matrix(ctx: KernelContext, n: int) -> np.ndarray:
-    """Dense (n+1) x (n+1) matrix mapping grid y-values to grid u-values."""
-    cached = ctx._op_cache.get(n)
-    if cached is not None:
-        return cached
+def _apply(ctx: KernelContext, y: np.ndarray) -> np.ndarray:
+    """Grid values of integral of H(t, s) y(s) ds for grid values y."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    panels = (len(y) - 1) // 2
+    d = 1.0 / panels
+    ends = np.stack([y[0:-1:2], y[1::2], y[2::2]])  # (basis, panel)
+    local = (_PANEL_MOMENTS @ ends) * d ** np.arange(1, 5)[:, None]
+    j = np.zeros((4, panels + 1))  # Jm at the panel starts 0, d, ..., 1
+    for m in range(4):
+        shift = sum(comb(m, k) * d ** (m - k) * j[k, :-1] for k in range(m))
+        j[m, 1:] = np.cumsum(local[m] + shift)
+
+    def v(x: np.ndarray) -> np.ndarray:  # x = t / d, position in panel units
+        p = np.minimum(x.astype(int), panels - 1)
+        xi = x - p
+        dx = xi * d
+        j3 = j[3, p] + dx * (3.0 * j[2, p] + dx * (3.0 * j[1, p] + dx * j[0, p]))
+        j3 += d**4 * np.einsum("bk,bk->k", _partial_moment3(xi), ends[:, p])
+        return ((x * d) ** 3 * j[2, -1] - j3) / 6.0
+
+    taus, weights = kernel.correction_rule(ctx)
+    return v(np.arange(len(y)) / 2.0) + weights @ v(taus * panels)
+
+
+def operator_matrix(ctx: KernelContext, n: int) -> LinearOperator:
+    """(n+1) x (n+1) operator mapping grid y-values to grid u-values.
+
+    ``@`` applies it in O(n) time and memory; no matrix is formed.
+    """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"operator grid needs even n >= 2, got n={n}")
-    h = 1.0 / n
-    panels = n // 2
-    ts = np.linspace(0.0, 1.0, n + 1)
-
-    # smooth panel contributions: nodes at s = 2h (k + x), weights folded
-    # with basis values -> (node, basis) matrix shared by every panel
-    s_nodes = (2.0 * h) * (np.arange(panels)[:, None] + _GX[None, :])  # (panels, 3)
-    wb = (2.0 * h * _GW)[:, None] * _quad_basis(_GX)  # (3, 3)
-    gm = kernel.green_matrix(ts, s_nodes.ravel()).reshape(n + 1, panels, 3)
-    blocks = np.einsum("ipm,mb->ipb", gm, wb)
-
-    m = np.zeros((n + 1, n + 1))
-    m[:, 0:n:2] += blocks[:, :, 0]
-    m[:, 1:n:2] += blocks[:, :, 1]
-    m[:, 2 : n + 1 : 2] += blocks[:, :, 2]
-
-    # odd rows: the kink of G(t_i, .) sits at the midpoint of panel
-    # (i-1)//2; replace that panel's contribution by the split-exact one
-    rows = np.arange(1, n, 2)
-    t_odd = rows * h
-    x6 = np.concatenate([_GX, 1.0 + _GX])  # half-panel nodes in units of h
-    s6 = h * (rows[:, None] - 1.0 + x6[None, :])  # (len(rows), 6)
-    wb6 = (h * np.concatenate([_GW, _GW]))[:, None] * _quad_basis(x6 / 2.0)  # (6, 3)
-    exact = kernel._green_raw(t_odd[:, None], s6) @ wb6
-    smooth = kernel._green_raw(t_odd[:, None], h * (rows[:, None] - 1.0 + 2.0 * _GX[None, :])) @ wb
-    cols = rows[:, None] + np.array([-1, 0, 1])[None, :]
-    m[rows[:, None], cols] += exact - smooth
-
-    # t-independent nonlocal correction: same product integration of c(s)
-    cvals = kernel.correction_values(ctx, s_nodes.ravel()).reshape(panels, 3)
-    crow = np.zeros(n + 1)
-    cblocks = cvals @ wb
-    crow[0:n:2] += cblocks[:, 0]
-    crow[1:n:2] += cblocks[:, 1]
-    crow[2 : n + 1 : 2] += cblocks[:, 2]
-    m += crow[None, :]
-
-    ctx._op_cache[n] = m
-    return m
+    return LinearOperator((n + 1, n + 1), matvec=lambda y: _apply(ctx, y), dtype=float)
 
 
 def solve_linear(y: GridFunction, ctx: KernelContext) -> GridFunction:

@@ -1,7 +1,9 @@
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from beambvp import cli
 
@@ -175,6 +177,17 @@ def test_solve_nonconvergence_exit(tmp_path, capsys):
     assert len(rows) == 201
 
 
+def test_solve_diverged_iterate_writes_nan_column(tmp_path, capsys):
+    # the last finite Picard iterate is ~1e149, so f overflows on it
+    text = "f = 50*exp(u^3)\na = t^2\ngrid_n = 100\nmax_iter = 50\n"
+    out_csv = tmp_path / "u.csv"
+    assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(out_csv)]) == 4
+    assert "status = diverged" in capsys.readouterr().out
+    _, rows = read_csv(out_csv)
+    assert len(rows) == 101
+    assert all(row[2] == "nan" for row in rows)
+
+
 # --- analyze ----------------------------------------------------------------
 
 
@@ -208,6 +221,36 @@ def test_analyze_square(tmp_path, capsys):
 def test_analyze_h1_violation(tmp_path, capsys):
     path = write_problem(tmp_path, "f = u-1\na = t^2\n")
     assert cli.main(["analyze", path]) == 2
+
+
+def test_analyze_overflowing_superlinear(tmp_path, capsys):
+    # f overflows on the rho1 scan near u = 709; the crossing of
+    # f = (1 - alpha) u lies at u e^u = 2/3, long before
+    path = write_problem(tmp_path, "f = u^2*exp(u)\na = t^2\n")
+    assert cli.main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert "criterion_f0_zero_applicable = true" in out
+    rho1 = float(out.split("rho1 = ")[1].splitlines()[0])
+    root = scipy.optimize.brentq(lambda u: u * math.exp(u) - 2.0 / 3.0, 0.1, 1.0, xtol=1e-15)
+    assert rho1 == pytest.approx(root, abs=1e-6)
+
+
+def test_analyze_overflow_on_boundedness_probe(tmp_path, capsys):
+    # finf = 0 on the 10^k schedule, but f overflows near u = 500 on the
+    # (0, 1e6] probe: no finite L or sigma, so no finf certificate
+    path = write_problem(tmp_path, "f = exp(800-(u-500)^2)\na = t^2\n")
+    assert cli.main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert "finf = 0 (converged)" in out
+    assert "criterion_finf_zero_applicable = false" in out
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_unevaluable_weight_is_h2_violation(tmp_path, capsys, command):
+    path = write_problem(tmp_path, "f = 1+u\na = 0.1/(t-1/2)^2\n")
+    assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "hypothesis H2 violated" in err and "t = 0.5" in err
 
 
 def test_analyze_out_file(tmp_path, capsys):

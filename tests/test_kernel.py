@@ -10,8 +10,8 @@ from beambvp.kernel import (
     green,
     green_matrix,
     make_context,
-    modified_kernel,
 )
+from beambvp.linear import operator_matrix
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -110,35 +110,42 @@ def test_make_context_rejects_bad_theta():
         make_context(parse("t^2", "t"), theta=0.0)
 
 
+def test_make_context_rejects_unevaluable_weight():
+    with pytest.raises(HypothesisViolation) as exc:
+        make_context(parse("0.1/(t-1/2)^2", "t"))
+    assert exc.value.which == "H2" and "t = 0.5" in str(exc.value)
+
+
+# the modified kernel is H(t, s) = G(t, s) + c(s), with c from correction_values
+
+
 def test_modified_kernel_zero_weight_reduces_to_green():
     # alpha = 0 is outside (H2), so this context is built directly;
     # the correction integral vanishes and H == G
     ctx = KernelContext(weight=parse("0", "t"), theta=0.25, alpha=0.0, beta=0.0)
-    for t, s in [(0.0, 0.5), (0.3, 0.7), (1.0, 0.2), (0.5, 0.5)]:
-        assert modified_kernel(t, s, ctx) == pytest.approx(green(t, s), abs=1e-15)
+    assert np.all(correction_values(ctx, GRID) == 0.0)
 
 
 def test_modified_kernel_constant_half_weight():
     ctx = make_context(parse("1/2", "t"))
     assert abs(ctx.alpha - 0.5) < 1e-14
     # s = 0.5 sits on a panel boundary, so the correction quadrature is exact
-    assert modified_kernel(0.0, 0.5, ctx) == pytest.approx(1.0 / 128.0, abs=1e-13)
+    assert green(0.0, 0.5) == 0.0
+    assert correction_values(ctx, 0.5)[0] == pytest.approx(1.0 / 128.0, abs=1e-13)
 
 
 def test_modified_kernel_quadratic_weight_vanishes_at_s_zero(ctx_t2):
     # G(tau, 0) = (tau^3 - tau^3)/6 = 0, so the correction vanishes at s = 0
     for t in (0.0, 0.4, 1.0):
         assert green(t, 0.0) == 0.0
-        assert modified_kernel(t, 0.0, ctx_t2) == pytest.approx(0.0, abs=1e-15)
+    assert correction_values(ctx_t2, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_modified_kernel_quadratic_weight_moment_integral(ctx_t2):
     # exact moment integral: (3/2) * int tau^2 G(tau, 1/2) dtau = 37/5120;
     # the integrand is quintic in tau, so 200-panel Simpson carries O(h^4)
     # truncation ~1e-12
-    for t in (0.0, 0.4, 1.0):
-        expected = green(t, 0.5) + 37.0 / 5120.0
-        assert modified_kernel(t, 0.5, ctx_t2) == pytest.approx(expected, abs=1e-11)
+    assert correction_values(ctx_t2, 0.5)[0] == pytest.approx(37.0 / 5120.0, abs=1e-11)
 
 
 def test_modified_kernel_dominates_green(ctx_t2):
@@ -150,6 +157,9 @@ def test_modified_kernel_dominates_green(ctx_t2):
 
 
 def test_correction_independent_of_t(ctx_t2):
-    for s in (0.1, 0.5, 0.9):
-        diffs = [modified_kernel(t, s, ctx_t2) - green(t, s) for t in (0.0, 0.3, 0.7, 1.0)]
-        assert max(diffs) - min(diffs) < 1e-15
+    # H - G = c(s) carries no t: two weights shift the operator's output
+    # by one constant, whatever the load
+    ctx_half = make_context(parse("1/2", "t"))
+    y = 0.5 + GRID * (1.0 - GRID) + np.sin(7.0 * GRID) ** 2
+    diff = operator_matrix(ctx_t2, 200) @ y - operator_matrix(ctx_half, 200) @ y
+    assert np.ptp(diff) < 1e-15

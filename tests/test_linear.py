@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
 from beambvp.errors import HypothesisViolation
 from beambvp.exprlang import parse
 from beambvp.grid import GridFunction
-from beambvp.kernel import make_context
+from beambvp.kernel import correction_rule, correction_values, make_context
 from beambvp.linear import cone_ratio, operator_matrix, polynomial_oracle, solve_linear
-from beambvp.quadrature import integrate_grid
+from beambvp.quadrature import QuadratureSettings, integrate_grid
 from beambvp.solver import endpoint_d1, endpoint_d2_left
 
 # exact solution for y = 1, a = t^2: u = -t^4/24 + t^3/18 + 5/1008
 ORACLE_Y1 = np.array([5.0 / 1008.0, 0.0, 0.0, 1.0 / 18.0, -1.0 / 24.0])
+GRID_201 = np.linspace(0.0, 1.0, 201)
 
 
 def poly_source(coeffs) -> str:
@@ -50,8 +52,65 @@ def test_solve_linear_unit_load_matches_oracle(ctx_t2):
     assert u.values[500] == pytest.approx(731.0 / 129024.0, abs=1e-8)
 
 
-def test_operator_matrix_cached(ctx_t2):
-    assert operator_matrix(ctx_t2, 200) is operator_matrix(ctx_t2, 200)
+def test_solve_linear_unit_load_large_grid(ctx_t2):
+    n = 102400  # the operator is O(n) in time and memory
+    u = solve_linear(GridFunction.constant(1.0, n), ctx_t2)
+    exact = np.polynomial.polynomial.polyval(u.ts, ORACLE_Y1)
+    assert float(np.max(np.abs(u.values - exact))) < 1e-8
+
+
+def test_operator_constant_term_matches_correction_values(ctx_t2):
+    # G(0, s) = 0, so u(0) is the constant term, integral of c(s) y(s) ds.
+    # y is quadratic and c is cubic between the correction rule's
+    # abscissae, so 3-point Gauss between them is exact.
+    y_coeffs = [0.5, 1.0, -0.75]
+    u = operator_matrix(ctx_t2, 200) @ np.polynomial.polynomial.polyval(GRID_201, y_coeffs)
+    taus, _ = correction_rule(ctx_t2)
+    breaks = np.unique(np.concatenate(([0.0, 1.0], taus)))
+    gx, gw = np.polynomial.legendre.leggauss(3)
+    mid, half = (breaks[1:] + breaks[:-1]) / 2.0, np.diff(breaks) / 2.0
+    ss = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    ws = (half[:, None] * gw[None, :]).ravel()
+    expected = np.dot(ws, correction_values(ctx_t2, ss) * np.polynomial.polynomial.polyval(ss, y_coeffs))
+    assert u[0] == pytest.approx(expected, rel=1e-13)
+
+
+def _interpolant(values):
+    """Scalar piecewise-quadratic interpolant of grid values on node-pair panels."""
+    panels = (len(values) - 1) // 2
+
+    def y(s):
+        p = min(int(s * panels), panels - 1)
+        z = s * panels - p
+        y0, y1, y2 = values[2 * p : 2 * p + 3]
+        return y0 * (1 - z) * (1 - 2 * z) + 4 * y1 * z * (1 - z) + y2 * z * (2 * z - 1)
+
+    return y
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_operator_matches_adaptive_quadrature(n):
+    # independent reference: v(t) = integral of G(t, s) y(s) ds by adaptive
+    # quadrature, split at t and the panel ends, plus the correction rule's
+    # constant sum of w a(tau) v(tau) / (1 - alpha)
+    ctx = make_context(parse("t^2", "t"), quad=QuadratureSettings(panels=8))
+    values = np.random.default_rng(n).uniform(0.1, 1.0, n + 1)
+    y = _interpolant(values)
+    panel_ends = np.linspace(0.0, 1.0, n // 2 + 1)[1:-1]
+
+    def v(t):
+        points = np.union1d(panel_ends, [t] if 0.0 < t < 1.0 else [])
+        green_y = lambda s: (t**3 * (1 - s) ** 2 - max(t - s, 0.0) ** 3) / 6.0 * y(s)
+        return scipy.integrate.quad(
+            green_y, 0.0, 1.0, points=points, limit=2 * len(points) + 10, epsabs=0.0, epsrel=2e-14
+        )[0]
+
+    taus, weights = correction_rule(ctx)
+    constant = sum(w * v(tau) for tau, w in zip(taus, weights))
+    rows = np.r_[0 : n + 1 : 7, n]
+    expected = np.array([v(t) for t in rows / n]) + constant
+    u = operator_matrix(ctx, n) @ values
+    assert np.max(np.abs(u[rows] - expected) / expected) < 1e-13
 
 
 def test_operator_matrix_needs_even_grid(ctx_t2):
