@@ -19,7 +19,7 @@ from .hypotheses import (
 )
 from .kernel import KernelContext, g_weight, green, make_context
 from .linear import ConeCheck, cone_ratio, polynomial_oracle, solve_linear
-from .quadrature import QuadratureSettings, Rule, integrate, integrate_grid
+from .quadrature import QuadratureSettings, integrate, integrate_grid
 from .solver import (
     BoundCheck,
     CollocationResult,
@@ -54,7 +54,6 @@ __all__ = [
     "NumericError",
     "OdeResidual",
     "QuadratureSettings",
-    "Rule",
     "SolveConfig",
     "SolveReport",
     "apply_A",

@@ -12,7 +12,7 @@ Subcommands:
   example problems and prints a combined report.
 
 Exit codes: 0 ok, 1 lemma violation, 2 hypothesis violation,
-3 parse error, 4 solver non-convergence.
+3 parse or usage error, 4 solver non-convergence.
 
 Problem files are flat ``key = value`` text with ``#`` comments; keys
 are f, a, theta, grid_n, quad_panels, tol, max_iter, u0.  All reals in
@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,11 +52,14 @@ _DEFAULT_THETAS = (0.1, 0.25, 0.4)
 
 
 class ProblemError(ValueError):
-    """Malformed problem file (unknown key, bad literal, missing field)."""
+    """Malformed problem file or command-line value (unknown key, bad
+    literal, missing field, value out of range)."""
 
 
 @dataclass(frozen=True)
 class ProblemFile:
+    """A parsed problem; every default and range check lives here."""
+
     f: ExpressionFn
     a: ExpressionFn
     theta: float = 0.25
@@ -63,33 +67,50 @@ class ProblemFile:
     quad_panels: int = 200
     tol: float = 1e-10
     max_iter: int = 500
-    u0: Union[str, float] = "zero"
+    u0: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.theta < 0.5:
+            raise ProblemError(f"theta must lie in (0, 1/2), got {self.theta}")
+        if self.grid_n < 20 or self.grid_n % 2 != 0:
+            raise ProblemError(f"grid_n must be even and >= 20, got {self.grid_n}")
+        if self.quad_panels < 1:
+            raise ProblemError(f"quad_panels must be >= 1, got {self.quad_panels}")
+        if not 0.0 < self.tol < math.inf:
+            raise ProblemError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ProblemError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.u0) and self.u0 >= 0.0):
+            raise ProblemError(f"u0 must be a finite constant >= 0, got {self.u0}")
 
     @property
     def quad(self) -> QuadratureSettings:
         return QuadratureSettings(panels=self.quad_panels)
 
     def config(self, u0_override: Optional[str] = None) -> SolveConfig:
-        u0 = parse_u0(u0_override) if u0_override is not None else self.u0
-        return SolveConfig(
-            n=self.grid_n, tol=self.tol, max_iter=self.max_iter, u0=u0
-        )
+        if u0_override is not None:
+            return dataclasses.replace(self, u0=parse_u0(u0_override)).config()
+        return SolveConfig(n=self.grid_n, tol=self.tol, max_iter=self.max_iter, u0=self.u0)
 
 
-def parse_u0(descriptor: str) -> Union[str, float]:
-    """Initial-guess descriptor: "zero" or "constant <c>"."""
+def parse_u0(descriptor: str) -> float:
+    """Initial-guess descriptor: "zero" (0.0) or "constant <c>"."""
     words = descriptor.split()
     if words == ["zero"]:
-        return "zero"
+        return 0.0
     if len(words) == 2 and words[0] == "constant":
         try:
-            value = float(words[1])
+            return float(words[1])
         except ValueError:
             raise ProblemError(f"bad constant in u0 descriptor {descriptor!r}") from None
-        if value < 0:
-            raise ProblemError(f"u0 constant must be >= 0, got {value}")
-        return value
     raise ProblemError(f"unknown u0 descriptor {descriptor!r} (use 'zero' or 'constant <c>')")
+
+
+# converters of the optional problem-file keys; defaults live on ProblemFile
+_OPTIONAL_KEYS = {
+    "theta": float, "grid_n": int, "quad_panels": int, "tol": float, "max_iter": int,
+    "u0": parse_u0,
+}
 
 
 def parse_problem(text: str, origin: str = "<problem>") -> ProblemFile:
@@ -107,49 +128,24 @@ def parse_problem(text: str, origin: str = "<problem>") -> ProblemFile:
     for required in ("f", "a"):
         if required not in raw:
             raise ProblemError(f"{origin}: missing required key {required!r}")
-
-    def take_float(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw.pop(key))
-        except ValueError:
-            raise ProblemError(f"{origin}: bad numeric value for {key!r}") from None
-
-    def take_int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw.pop(key))
-        except ValueError:
-            raise ProblemError(f"{origin}: bad integer value for {key!r}") from None
-
+    unknown = sorted(raw.keys() - {"f", "a"} - _OPTIONAL_KEYS.keys())
+    if unknown:
+        raise ProblemError(f"{origin}: unknown keys {unknown}")
     try:
         f = parse(raw.pop("f"), "u")
         a = parse(raw.pop("a"), "t")
     except ExprSyntaxError as exc:
         raise ProblemError(f"{origin}: {exc}") from exc
-    problem = ProblemFile(
-        f=f,
-        a=a,
-        theta=take_float("theta", 0.25),
-        grid_n=take_int("grid_n", 800),
-        quad_panels=take_int("quad_panels", 200),
-        tol=take_float("tol", 1e-10),
-        max_iter=take_int("max_iter", 500),
-        u0=parse_u0(raw.pop("u0")) if "u0" in raw else "zero",
-    )
-    if raw:
-        raise ProblemError(f"{origin}: unknown keys {sorted(raw)}")
-    if not 0.0 < problem.theta < 0.5:
-        raise ProblemError(f"{origin}: theta must lie in (0, 1/2), got {problem.theta}")
-    if problem.grid_n < 20 or problem.grid_n % 2 != 0:
-        raise ProblemError(f"{origin}: grid_n must be even and >= 20, got {problem.grid_n}")
-    if problem.quad_panels < 1:
-        raise ProblemError(f"{origin}: quad_panels must be >= 1")
-    if not problem.tol > 0 or problem.max_iter < 1:
-        raise ProblemError(f"{origin}: tol must be > 0 and max_iter >= 1")
-    return problem
+    values = {}
+    for key, text in raw.items():
+        try:
+            values[key] = _OPTIONAL_KEYS[key](text)
+        except ValueError as exc:  # parse_u0's ProblemError included
+            raise ProblemError(f"{origin}: bad value for {key!r}: {exc}") from None
+    try:
+        return ProblemFile(f=f, a=a, **values)
+    except ProblemError as exc:
+        raise ProblemError(f"{origin}: {exc}") from None
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -181,14 +177,10 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 # verify-lemmas
 
 
-def _kernel_grid_checks(thetas: Sequence[float], n: int, sign: float) -> list[dict]:
-    """Grid checks of kernel nonnegativity, two-sided bound, boundary identity.
-
-    ``sign`` = -1 flips the kernel (test hook for exercising the failure
-    path); every check then reports its violation honestly.
-    """
+def _kernel_grid_checks(thetas: Sequence[float], n: int) -> list[dict]:
+    """Grid checks of kernel nonnegativity, two-sided bound, boundary identity."""
     ts = np.linspace(0.0, 1.0, n + 1)
-    g_mat = sign * kernel.green_matrix(ts, ts)  # rows t, cols s
+    g_mat = kernel.green_matrix(ts, ts)  # rows t, cols s
     g_env = kernel.g_weight(ts)
     results = []
 
@@ -202,6 +194,9 @@ def _kernel_grid_checks(thetas: Sequence[float], n: int, sign: float) -> list[di
 
     for theta in thetas:
         inner = (ts >= theta - 1e-12) & (ts <= 1.0 - theta + 1e-12)
+        if not inner.any():
+            raise ProblemError(f"a {n}-interval grid has no node in [theta, 1 - theta] "
+                               f"for theta = {theta}")
         block = g_mat[inner, :]
         lower_gap = block - (theta**3) * g_env[None, :]
         upper_gap = g_env[None, :] - block
@@ -264,8 +259,7 @@ def _cone_checks(thetas: Sequence[float], n: int) -> list[dict]:
 
 def cmd_verify_lemmas(args) -> int:
     thetas = args.theta or list(_DEFAULT_THETAS)
-    sign = -1.0 if args.corrupt_kernel else 1.0
-    results = _kernel_grid_checks(thetas, args.grid, sign)
+    results = _kernel_grid_checks(thetas, args.grid)
     results += _cone_checks(thetas, min(args.grid * 2, 400))
     print(f"kernel inequality checks on a {args.grid + 1} point grid, "
           f"thetas {', '.join(_fmt(t) for t in thetas)}")
@@ -395,8 +389,9 @@ def _print_analysis(problem: ProblemFile, h1h2, report: hypotheses.HypothesisRep
         flag = "converged" if est.converged else "not converged"
         return f"{name} = {_fmt(est.value)} ({flag})"
 
-    superlinear = report.f0_zero_applicable and report.finf_estimate.divergent
-    sublinear = report.f0_estimate.divergent and report.finf_zero_applicable
+    cert0, certinf = report.f0_certificate, report.finf_certificate
+    superlinear = cert0 is not None and report.finf_estimate.divergent
+    sublinear = report.f0_estimate.divergent and certinf is not None
     lines = [
         f"f = {problem.f.source}",
         f"a = {problem.a.source}",
@@ -407,15 +402,11 @@ def _print_analysis(problem: ProblemFile, h1h2, report: hypotheses.HypothesisRep
         estimate_line("f0", report.f0_estimate),
         estimate_line("finf", report.finf_estimate),
         f"epsilon = {_fmt(report.epsilon)}",
-        f"criterion_f0_zero_applicable = {_fmt(report.f0_zero_applicable)}",
-        f"rho1 = {_fmt(report.rho1)}",
-        f"criterion_finf_zero_applicable = {_fmt(report.finf_zero_applicable)}",
-        f"bounded_case = {_fmt(report.bounded_case)}",
-        f"L = {_fmt(report.L)}",
-        f"eta = {_fmt(report.eta)}",
-        f"rho2 = {_fmt(report.rho2)}",
-        f"sigma = {_fmt(report.sigma)}",
-        f"rho_hat2 = {_fmt(report.rho_hat2)}",
+        f"criterion_f0_zero_applicable = {_fmt(cert0 is not None)}",
+        f"rho1 = {_fmt(getattr(cert0, 'rho1', None))}",
+        f"criterion_finf_zero_applicable = {_fmt(certinf is not None)}",
+        *(f"{name} = {_fmt(getattr(certinf, name, None))}"
+          for name in ("bounded_case", "L", "eta", "rho2", "sigma", "rho_hat2")),
         f"predecessor_superlinear_applicable = {_fmt(superlinear)}  # needs f0 = 0 and finf divergent",
         f"predecessor_sublinear_applicable = {_fmt(sublinear)}  # needs f0 divergent and finf = 0",
     ]
@@ -473,7 +464,8 @@ def cmd_reproduce_examples(args) -> int:
         report = outcome["report"]
 
         # contrast the certified criterion with the computed fixed point
-        applicable = hyp_report.f0_zero_applicable or hyp_report.finf_zero_applicable
+        certificates = (hyp_report.f0_certificate, hyp_report.finf_certificate)
+        applicable = any(cert is not None for cert in certificates)
         ratio_sup = max(r for _, r in hyp_report.f0_estimate.samples + hyp_report.finf_estimate.samples)
         contraction = ratio_sup * (1.0 / 72.0) / (1.0 - ctx.alpha)
         print(f"criterion_certified = {_fmt(applicable)}")
@@ -504,8 +496,24 @@ def _theta_list(text: str) -> list[float]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_PARSE (argparse's own 2 is EXIT_HYPOTHESIS);
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beambvp",
         description="Solve and verify a fourth-order beam problem with an "
         "integral boundary condition.",
@@ -515,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-lemmas", help="grid checks of the kernel inequalities")
     p_verify.add_argument("--theta", type=_theta_list, default=None,
                           help="comma-separated thetas in (0, 1/2)")
-    p_verify.add_argument("--grid", type=int, default=200, help="grid intervals (default 200)")
+    p_verify.add_argument("--grid", type=_positive_int, default=200,
+                          help="grid intervals (default 200)")
     p_verify.add_argument("--report", default=None, help="optional CSV report path")
-    p_verify.add_argument("--corrupt-kernel", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify_lemmas)
 
     p_solve = sub.add_parser("solve", help="solve a problem file")

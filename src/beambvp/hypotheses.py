@@ -225,36 +225,18 @@ class HypothesisReport:
     f0_estimate: LimitEstimate
     finf_estimate: LimitEstimate
     epsilon: float  # largest admissible slope, 1 - alpha
-    rho1: Optional[float]
-    bounded_case: Optional[bool]
-    L: Optional[float]
-    eta: Optional[float]
-    rho2: Optional[float]
-    sigma: Optional[float]
-    rho_hat2: Optional[float]
-    f0_zero_applicable: bool
-    finf_zero_applicable: bool
+    f0_certificate: Optional[F0Certificate]  # None: small-amplitude criterion not certified
+    finf_certificate: Optional[FInfCertificate]  # None: large-amplitude criterion not certified
 
 
 def build_report(f: ArrayFn, ctx: KernelContext) -> HypothesisReport:
     """Run both estimates and both certifications against a valid context."""
-    f0 = estimate_f0(f)
-    finf = estimate_finf(f)
-    cert0 = certify_f0_zero(f, ctx)
-    certinf = certify_finf_zero(f, ctx)
     return HypothesisReport(
         alpha=ctx.alpha,
         beta=ctx.beta,
-        f0_estimate=f0,
-        finf_estimate=finf,
+        f0_estimate=estimate_f0(f),
+        finf_estimate=estimate_finf(f),
         epsilon=1.0 - ctx.alpha,
-        rho1=cert0.rho1 if cert0 else None,
-        bounded_case=certinf.bounded_case if certinf else None,
-        L=certinf.L if certinf else None,
-        eta=certinf.eta if certinf else None,
-        rho2=certinf.rho2 if certinf else None,
-        sigma=certinf.sigma if certinf else None,
-        rho_hat2=certinf.rho_hat2 if certinf else None,
-        f0_zero_applicable=cert0 is not None,
-        finf_zero_applicable=certinf is not None,
+        f0_certificate=certify_f0_zero(f, ctx),
+        finf_certificate=certify_finf_zero(f, ctx),
     )

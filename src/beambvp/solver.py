@@ -6,7 +6,7 @@ The nonlinear operator is
     (A u)(t) = integral of H(t, s) f(u(s)) ds
 
 with H from the kernel module; u solves the beam problem iff u = A u.
-``picard_solve`` iterates u <- (1-w) u + w A u and reports what happened;
+``picard_solve`` iterates u <- A u and reports what happened;
 convergence is not guaranteed in general and non-convergence is a report
 status, not an error.  Since f(0) = 0 makes u = 0 a fixed point, reports
 carry a ``trivial`` flag (sup-norm below 1e-8) so a collapse to zero is
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 import scipy.sparse
@@ -46,38 +45,26 @@ _D4_CENTRAL = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration knobs: grid resolution, stopping rule, relaxation, start."""
+    """Iteration knobs: grid resolution, stopping rule, and the constant
+    initial guess u0 (finite, >= 0)."""
 
     n: int = 800
     tol: float = 1e-10
     max_iter: int = 500
-    relaxation: float = 1.0
-    u0: Union[str, float, np.ndarray, GridFunction] = "zero"
+    u0: float = 0.0
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid resolution must be even and >= 4, got {self.n}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ValueError(f"relaxation must lie in (0, 1], got {self.relaxation}")
+        if not (math.isfinite(self.u0) and self.u0 >= 0.0):
+            raise ValueError(f"u0 must be finite and >= 0, got {self.u0}")
 
     def initial_guess(self) -> GridFunction:
-        if isinstance(self.u0, GridFunction):
-            if self.u0.n != self.n:
-                raise ValueError(f"u0 grid n={self.u0.n} does not match n={self.n}")
-            return self.u0
-        if isinstance(self.u0, np.ndarray):
-            return GridFunction(self.n, self.u0)
-        if isinstance(self.u0, (int, float)):
-            if self.u0 < 0:
-                raise ValueError(f"constant initial guess must be >= 0, got {self.u0}")
-            return GridFunction.constant(float(self.u0), self.n)
-        if self.u0 == "zero":
-            return GridFunction.zeros(self.n)
-        raise ValueError(f"unknown initial guess descriptor {self.u0!r}")
+        return GridFunction.constant(self.u0, self.n)
 
 
 @dataclass(frozen=True)
@@ -187,14 +174,14 @@ def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeRes
         abs(endpoint_d1(u.values, u.h, "left")),
         abs(endpoint_d1(u.values, u.h, "right")),
         abs(endpoint_d2_left(u.values, u.h)),
-        abs(u.values[0] - quadrature.integrate_grid(a_u, ctx.quad)),
+        abs(u.values[0] - quadrature.integrate_grid(a_u)),
     )
     return OdeResidual(interior=interior, bc=bc)
 
 
 def _bound_value(u: GridFunction, fvals: np.ndarray, ctx: KernelContext) -> float:
     """(1/(1-alpha)) * integral of g(s) f(u(s)) ds by grid quadrature."""
-    gf = np.dot(quadrature.grid_weights(u.n, ctx.quad), g_weight(u.ts) * fvals)
+    gf = np.dot(quadrature.grid_weights(u.n), g_weight(u.ts) * fvals)
     return float(gf) / (1.0 - ctx.alpha)
 
 
@@ -207,7 +194,7 @@ def norm_bound_check(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> Bo
 
 
 def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> SolveReport:
-    """Iterate u <- (1-w) u + w A u until the sup-norm update drops below tol.
+    """Iterate u <- A u until the sup-norm update drops below tol.
 
     Non-convergence within max_iter is reported via ``status``
     ("max_iter"); overflow or NaN during iteration yields "diverged" with
@@ -215,7 +202,6 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
     iterate either way.
     """
     u = config.initial_guess()
-    omega = config.relaxation
     deltas: list[float] = []
     status = "max_iter"
     for _ in range(config.max_iter):
@@ -224,13 +210,9 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
         except (ExprEvalError, NumericError):
             status = "diverged"
             break
-        new_values = (1.0 - omega) * u.values + omega * au.values
-        if not np.all(np.isfinite(new_values)):
-            status = "diverged"
-            break
-        delta = float(np.max(np.abs(new_values - u.values)))
+        delta = float(np.max(np.abs(au.values - u.values)))
         deltas.append(delta)
-        u = GridFunction(config.n, new_values)
+        u = au
         if delta < config.tol:
             status = "converged"
             break
@@ -313,7 +295,7 @@ def collocation_oracle(
     if n < 20:
         raise ValueError(f"collocation grid needs n >= 20, got n={n}")
     h = 1.0 / n
-    aw = quadrature.grid_weights(n, ctx.quad) * ctx.weight(np.linspace(0.0, 1.0, n + 1))
+    aw = quadrature.grid_weights(n) * ctx.weight(np.linspace(0.0, 1.0, n + 1))
 
     u = config.initial_guess().values.copy()
     residual = _collocation_system(u, f, ctx, aw, h)

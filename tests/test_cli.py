@@ -38,7 +38,7 @@ def test_problem_defaults():
     assert problem.quad_panels == 200
     assert problem.tol == 1e-10
     assert problem.max_iter == 500
-    assert problem.u0 == "zero"
+    assert problem.u0 == 0.0
 
 
 def test_problem_comments_and_values():
@@ -57,7 +57,10 @@ def test_problem_comments_and_values():
         "f = 1\na = t^2\nwidth = 3\n",  # unknown key
         "f = 1\na = t^2\ntheta = 0.7\n",  # theta out of range
         "f = 1\na = t^2\ngrid_n = 201\n",  # odd grid
+        "f = 1\na = t^2\ntol = inf\n",  # every first step would pass as converged
         "f = 1\na = t^2\nu0 = ramp\n",  # bad descriptor
+        "f = 1\na = t^2\nu0 = constant nan\n",  # non-finite start
+        "f = 1\na = t^2\nu0 = constant 1e400\n",  # overflows to inf
         "f = u +\na = t^2\n",  # expression syntax
         "just text\n",
     ],
@@ -87,8 +90,10 @@ def test_verify_lemmas_near_boundary_theta(capsys):
     assert cli.main(["verify-lemmas", "--theta", "0.49", "--grid", "400"]) == 0
 
 
-def test_verify_lemmas_corrupted_kernel_fails(capsys):
-    assert cli.main(["verify-lemmas", "--corrupt-kernel"]) == 1
+def test_verify_lemmas_corrupted_kernel_fails(monkeypatch, capsys):
+    green_matrix = cli.kernel.green_matrix
+    monkeypatch.setattr(cli.kernel, "green_matrix", lambda ts, ss: -green_matrix(ts, ss))
+    assert cli.main(["verify-lemmas"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
 
@@ -166,6 +171,12 @@ def test_solve_parse_error_exit(tmp_path, capsys):
 
 def test_solve_missing_file_exit(capsys):
     assert cli.main(["solve", "no-such-file.problem"]) == 3
+
+
+def test_solve_nonfinite_u0_override_exit(tmp_path, capsys):
+    path = write_problem(tmp_path, "f = 1\na = t^2\ngrid_n = 200\n")
+    assert cli.main(["solve", path, "--u0", "constant nan", "--out", str(tmp_path / "u.csv")]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_solve_nonconvergence_exit(tmp_path, capsys):
@@ -292,6 +303,37 @@ def test_reproduce_examples_theta_independent_verdicts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "criterion_f0_zero_applicable = true" in out
     assert "criterion_finf_zero_applicable = true" in out
+
+
+@pytest.mark.parametrize("override", ["--theta 0.7", "--grid 7", "--grid 10"])
+def test_reproduce_examples_rejects_bad_override(tmp_path, capsys, override):
+    argv = ["reproduce-examples", *override.split(), "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- usage errors -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify-lemmas --theta 0.7",
+        "verify-lemmas --grid 0",
+        "verify-lemmas --grid -4",
+        "verify-lemmas --grid 1",  # no node in [theta, 1 - theta]
+        "solve",
+        "no-such-command",
+    ],
+)
+def test_usage_errors_exit_parse(capsys, command):
+    try:
+        code = cli.main(command.split())
+    except SystemExit as exc:  # argparse exits from inside parse_args
+        code = exc.code
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_grid_self_consistency(tmp_path, capsys):

@@ -197,28 +197,28 @@ def test_schedule_keeps_samples_before_first_failure():
 
 def test_report_for_saturating(ctx_t2):
     report = build_report(F_SATURATING, ctx_t2)
-    assert report.f0_zero_applicable and not report.finf_zero_applicable
+    assert report.f0_certificate is not None and report.finf_certificate is None
     assert report.epsilon == 1.0 - ctx_t2.alpha
-    assert report.rho1 is not None and report.L is None
-    assert report.bounded_case is None
+    assert report.f0_certificate.epsilon == report.epsilon
+    assert report.f0_certificate.rho1 > 0.0
 
 
 def test_report_for_bounded(ctx_t2):
     report = build_report(F_BOUNDED, ctx_t2)
-    assert report.finf_zero_applicable and not report.f0_zero_applicable
-    assert report.bounded_case is True
-    assert report.rho1 is None
+    assert report.finf_certificate is not None and report.f0_certificate is None
+    assert report.finf_certificate.bounded_case is True
+    assert report.finf_certificate.L is not None
 
 
 def test_report_coherence(ctx_t2):
     for f in (F_SATURATING, F_BOUNDED, F_SQUARE, F_IDENTITY):
         report = build_report(f, ctx_t2)
-        if report.f0_zero_applicable:
+        if report.f0_certificate is not None:
             assert report.f0_estimate.converged
             assert abs(report.f0_estimate.value) < 1e-4
-        if report.finf_zero_applicable:
+        if report.finf_certificate is not None:
             assert report.finf_estimate.converged
             assert abs(report.finf_estimate.value) < 1e-4
+            eta = report.finf_certificate.eta
+            assert eta is None or eta <= 1.0 - report.alpha
         assert report.epsilon <= 1.0 - report.alpha
-        if report.eta is not None:
-            assert report.eta <= 1.0 - report.alpha

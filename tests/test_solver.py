@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,16 +112,8 @@ def test_picard_reports_divergence(ctx_t2):
     assert np.all(np.isfinite(report.solution.values))
 
 
-def test_picard_relaxation_reaches_same_fixed_point(ctx_t2):
-    full = picard_solve(F_AFFINE, ctx_t2, SolveConfig(n=200))
-    relaxed = picard_solve(F_AFFINE, ctx_t2, SolveConfig(n=200, relaxation=0.5))
-    assert relaxed.status == "converged"
-    gap = float(np.max(np.abs(full.solution.values - relaxed.solution.values)))
-    assert gap < 1e-8
-
-
 def test_report_invariants(ctx_t2):
-    for f, u0 in ((F_ONE, "zero"), (F_AFFINE, "zero"), (F_SATURATING, 1.0)):
+    for f, u0 in ((F_ONE, 0.0), (F_AFFINE, 0.0), (F_SATURATING, 1.0)):
         report = picard_solve(f, ctx_t2, SolveConfig(n=400, u0=u0))
         assert report.residual_integral >= 0.0
         assert report.residual_ode.interior >= 0.0 and report.residual_ode.bc >= 0.0
@@ -140,16 +134,14 @@ def test_converged_report_is_consistent(ctx_t2):
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(n=101)
-    with pytest.raises(ValueError):
-        SolveConfig(tol=0.0)
+    for tol in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            SolveConfig(tol=tol)
     with pytest.raises(ValueError):
         SolveConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolveConfig(relaxation=1.5)
-    with pytest.raises(ValueError):
-        SolveConfig(u0=-1.0).initial_guess()
-    with pytest.raises(ValueError):
-        SolveConfig(u0="ramp").initial_guess()
+    for u0 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolveConfig(u0=u0)
 
 
 # --- residuals -------------------------------------------------------------
