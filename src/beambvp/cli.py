@@ -447,15 +447,14 @@ def bundled_problem(name: str) -> ProblemFile:
 
 
 def cmd_reproduce_examples(args) -> int:
+    # check the overrides of both problems before anything is written
+    overrides = {k: v for k, v in (("theta", args.theta), ("grid_n", args.grid)) if v is not None}
+    problems = {name: dataclasses.replace(bundled_problem(name), **overrides)
+                for name in ("example_a", "example_b")}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     exit_code = EXIT_OK
-    for name in ("example_a", "example_b"):
-        problem = bundled_problem(name)
-        if args.theta is not None:
-            problem = dataclasses.replace(problem, theta=args.theta)
-        if args.grid is not None:
-            problem = dataclasses.replace(problem, grid_n=args.grid)
+    for name, problem in problems.items():
         print(f"=== {name}: f = {problem.f.source}, a = {problem.a.source} ===")
         h1h2, ctx, hyp_report = _analyze_problem(problem)
         if ctx is None:

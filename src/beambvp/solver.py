@@ -14,9 +14,9 @@ never presented as a positive solution.
 
 ``collocation_oracle`` solves the differential form directly -- banded
 fourth-difference rows, one-sided boundary stencils, one dense row for
-the nonlocal condition -- by damped Newton.  It shares nothing with the
-kernel path beyond the grid, which is what makes cross-checking the two
-meaningful.
+the nonlocal condition -- by damped Newton with O(n) linear solves.  It
+shares nothing with the kernel path beyond the grid, which is what makes
+cross-checking the two meaningful.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.linalg
 
 from . import quadrature
 from .errors import NumericError, require_nonneg
@@ -99,6 +98,8 @@ class CollocationResult:
     status: str  # converged | stagnated | max_iter
     iterations: int
     residual: float
+    residual_trace: list[float] = field(repr=False)  # initial, then one per step
+    halvings: list[int] = field(repr=False)  # step halvings per Newton step
 
 
 def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
@@ -238,10 +239,11 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
 
 
 def _f_derivative(f: ExpressionFn, x: np.ndarray, delta: float = 1e-6) -> np.ndarray:
-    """df/du at x >= 0 by finite differences, one-sided near the domain edge u = 0."""
-    central = x >= delta
-    lower = np.where(central, x - delta, x)
-    return (f(x + delta) - f(lower)) / np.where(central, 2.0 * delta, delta)
+    """df/du at x >= 0 by finite differences of step delta * max(1, x), one-sided near 0."""
+    step = delta * np.maximum(1.0, x)
+    central = x >= step
+    lower = np.where(central, x - step, x)
+    return (f(x + step) - f(lower)) / np.where(central, 2.0 * step, step)
 
 
 def _collocation_system(
@@ -261,21 +263,28 @@ def _collocation_system(
     return r
 
 
-def _collocation_jacobian(
-    u: np.ndarray, f: ExpressionFn, ctx: KernelContext, aw: np.ndarray, h: float
-) -> scipy.sparse.csr_matrix:
+def _newton_step(
+    u: np.ndarray, residual: np.ndarray, f: ExpressionFn, aw: np.ndarray, h: float
+) -> np.ndarray:
+    """Solve J step = -residual for the Jacobian J of ``_collocation_system``
+    in O(n).  Rows 0..n-1 of J are banded (2 below the diagonal, 3 above) and
+    fill LAPACK band storage ab[3 + i - j, j] = J[i, j]; the dense row
+    J[n] = e_0 - aw is replaced by e_n and restored by Sherman-Morrison."""
     n = len(u) - 1
-    jac = scipy.sparse.lil_matrix((n + 1, n + 1))
-    jac[0, 0:4] = _D1_FORWARD
-    jac[1, 0:5] = _D2_FORWARD
-    fprime = _f_derivative(f, np.maximum(u[2:-2], 0.0))
-    for offset, coeff in enumerate(_D4_CENTRAL):
-        idx = np.arange(2, n - 1)
-        jac[idx, idx + offset - 2] = coeff + (h**4 * fprime if offset == 2 else 0.0)
-    jac[n - 1, n - 3 : n + 1] = -_D1_FORWARD[::-1]
-    jac[n, :] = -aw
-    jac[n, 0] += 1.0
-    return jac.tocsr()
+    m = np.arange(5)
+    ab = np.zeros((6, n + 1))
+    ab[3 - m[:4], m[:4]] = _D1_FORWARD  # row 0
+    ab[4 - m, m] = _D2_FORWARD  # row 1
+    for k, coeff in zip(range(-2, 3), _D4_CENTRAL):  # rows 2..n-2, band j - i = k
+        ab[3 - k, 2 + k : n - 1 + k] = coeff
+    ab[3, 2 : n - 1] += h**4 * _f_derivative(f, np.maximum(u[2:-2], 0.0))
+    ab[5 - m[:4], n - 3 + m[:4]] = -_D1_FORWARD[::-1]  # row n-1
+    ab[3, n] = 1.0  # row n: e_n
+    rhs = np.column_stack((-residual, np.zeros(n + 1)))
+    rhs[n, 1] = 1.0
+    y, z = scipy.linalg.solve_banded((2, 3), ab, rhs, check_finite=False).T
+    vy, vz = (w[0] - np.dot(aw, w) - w[n] for w in (y, z))  # v = J[n] - e_n
+    return y - z * (vy / (1.0 + vz))
 
 
 def collocation_oracle(
@@ -301,24 +310,23 @@ def collocation_oracle(
     residual = _collocation_system(u, f, ctx, aw, h)
     res_norm = float(np.max(np.abs(residual)))
     status = "max_iter"
-    iterations = 0
+    trace, halvings = [res_norm], []
 
     def floor_tol() -> float:
         # scaled-units image of the interior tolerance: a genuine defect
         # delta in D4 units shows up as h^4 * delta here, so converged
-        # means h^4 * max(1e-6, 100 eps n^4 ||u||) ~ max(1e-6 h^4, 100 eps ||u||)
+        # means h^4 * max(1e-6, 100 eps n^4 ||u||) = max(1e-6 h^4, 100 eps ||u||)
         u_norm = float(np.max(np.abs(u)))
-        return max(1e-6 * h**4, 100.0 * np.finfo(float).eps * max(u_norm, 1e-3))
+        return max(1e-6 * h**4, 100.0 * np.finfo(float).eps * u_norm)
 
     for _ in range(min(config.max_iter, 60)):
         if res_norm <= floor_tol():
             status = "converged"
             break
-        jac = _collocation_jacobian(u, f, ctx, aw, h)
-        step = scipy.sparse.linalg.spsolve(jac.tocsc(), -residual)
+        step = _newton_step(u, residual, f, aw, h)
         scale = 1.0
         improved = False
-        for _ in range(30):
+        for halving in range(30):
             candidate = u + scale * step
             try:
                 cand_res = _collocation_system(candidate, f, ctx, aw, h)
@@ -330,7 +338,8 @@ def collocation_oracle(
                 improved = True
                 break
             scale /= 2.0
-        iterations += 1
+        halvings.append(halving if improved else 30)
+        trace.append(res_norm)
         if not improved:
             # stuck at the rounding floor of the residual evaluation
             status = "converged" if res_norm <= 10.0 * floor_tol() else "stagnated"
@@ -338,5 +347,6 @@ def collocation_oracle(
     if res_norm <= floor_tol():
         status = "converged"
     return CollocationResult(
-        solution=GridFunction(n, u), status=status, iterations=iterations, residual=res_norm
+        solution=GridFunction(n, u), status=status, iterations=len(halvings),
+        residual=res_norm, residual_trace=trace, halvings=halvings,
     )

@@ -188,6 +188,29 @@ def test_solve_nonconvergence_exit(tmp_path, capsys):
     assert len(rows) == 201
 
 
+def _summary_value(out, key):
+    return out.split(f"\n{key} = ")[1].splitlines()[0]
+
+
+def test_solve_zero_guess_is_not_a_false_oracle_pass(tmp_path, capsys):
+    # at n = 12800, h^4 f(0) ~ 1e-17: u = 0 must not pass as the oracle's solution
+    text = "f = 0.5*u/(1+u) + 0.3\na = 0.9*t^2\ngrid_n = 12800\nu0 = constant 0\n"
+    code = cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")])
+    out = capsys.readouterr().out
+    norm = float(_summary_value(out, "solution_sup_norm"))
+    agreement = float(_summary_value(out, "oracle_agreement_sup"))
+    assert norm > 1e-3
+    assert code == 4 or agreement < 1e-6 * norm
+
+
+def test_solve_huge_initial_guess(tmp_path, capsys):
+    text = "f = 1+u\na = t^2\ngrid_n = 200\nu0 = constant 1e300\n"
+    code = cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")])
+    out = capsys.readouterr().out
+    assert _summary_value(out, "collocation_status") == "converged"
+    assert code == 0
+
+
 def test_solve_diverged_iterate_writes_nan_column(tmp_path, capsys):
     # the last finite Picard iterate is ~1e149, so f overflows on it
     text = "f = 50*exp(u^3)\na = t^2\ngrid_n = 100\nmax_iter = 50\n"
@@ -310,6 +333,12 @@ def test_reproduce_examples_rejects_bad_override(tmp_path, capsys, override):
     argv = ["reproduce-examples", *override.split(), "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reproduce_examples_bad_override_creates_no_dir(tmp_path, capsys):
+    out_dir = tmp_path / "fresh"
+    assert cli.main(["reproduce-examples", "--theta", "0.7", "--out-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
 
 
 # --- usage errors -----------------------------------------------------------

@@ -8,8 +8,12 @@ from beambvp.exprlang import parse
 from beambvp.grid import GridFunction
 from beambvp.kernel import make_context
 from beambvp.linear import cone_ratio
+from beambvp import quadrature
 from beambvp.solver import (
     SolveConfig,
+    _collocation_system,
+    _f_derivative,
+    _newton_step,
     apply_A,
     collocation_oracle,
     interior_tolerance,
@@ -217,6 +221,73 @@ def test_collocation_rational_f_agrees_with_picard(ctx_t2):
     assert report.status == "converged" and result.status == "converged"
     gap = float(np.max(np.abs(report.solution.values - result.solution.values)))
     assert gap < 1e-6
+
+
+def _newton_inputs(ctx, n, seed=0):
+    rng = np.random.default_rng(seed)
+    aw = quadrature.grid_weights(n) * ctx.weight(np.linspace(0.0, 1.0, n + 1))
+    return rng.uniform(0.0, 2.0, n + 1), aw, 1.0 / n
+
+
+@pytest.mark.parametrize("n", [40, 800])
+def test_newton_step_solves_affine_system(ctx_t2, n):
+    # f = 2 + 3u makes the collocation system affine: one undamped step is exact
+    f = parse("2+3*u", "u")
+    u, aw, h = _newton_inputs(ctx_t2, n)
+    residual = _collocation_system(u, f, ctx_t2, aw, h)
+    step = _newton_step(u, residual, f, aw, h)
+    after = _collocation_system(u + step, f, ctx_t2, aw, h)
+    assert float(np.max(np.abs(after))) < 1e-13 * float(np.max(np.abs(residual)))
+
+
+def test_newton_step_matches_dense_solve(ctx_t2):
+    # dense Jacobian by unit column differences of the affine residual map,
+    # sharing no code with the banded assembly
+    f = parse("1+u", "u")
+    n = 40
+    u, aw, h = _newton_inputs(ctx_t2, n, seed=1)
+    residual = _collocation_system(u, f, ctx_t2, aw, h)
+    jac = np.column_stack([
+        _collocation_system(u + np.eye(n + 1)[j], f, ctx_t2, aw, h) - residual
+        for j in range(n + 1)
+    ])
+    dense = np.linalg.solve(jac, -residual)
+    banded = _newton_step(u, residual, f, aw, h)
+    assert np.allclose(banded, dense, rtol=1e-10, atol=1e-10 * float(np.max(np.abs(dense))))
+
+
+def test_collocation_large_grid_agrees_with_picard(ctx_t2):
+    # a dense factorization of this Jacobian would need ~n^2/2 nonzeros
+    f = F_SATURATING
+    config = SolveConfig(n=51200, u0=1.0)
+    result = collocation_oracle(f, ctx_t2, config)
+    report = picard_solve(f, ctx_t2, config)
+    assert result.status == "converged" and report.status == "converged"
+    gap = float(np.max(np.abs(report.solution.values - result.solution.values)))
+    assert gap < 1e-9
+
+
+def test_collocation_keeps_newton_trace(ctx_t2):
+    result = collocation_oracle(F_AFFINE, ctx_t2, SolveConfig(n=200, u0=1.0))
+    assert result.status == "converged"
+    assert len(result.residual_trace) == result.iterations + 1
+    assert len(result.halvings) == result.iterations
+    assert result.residual_trace[-1] == result.residual
+    assert all(b < a for a, b in zip(result.residual_trace, result.residual_trace[1:]))
+    assert "residual_trace" not in repr(result) and "halvings" not in repr(result)
+
+
+def test_f_derivative_relative_step():
+    # an absolute step of 1e-6 is below half an ulp of 1e12 and of 1e300
+    xs = np.array([0.0, 0.5, 1e12, 1e300])
+    assert np.allclose(_f_derivative(F_AFFINE, xs), 1.0, rtol=1e-6)
+
+
+def test_collocation_from_large_initial_guess(ctx_t2):
+    # affine f: Newton needs 3 steps from 1e12 once f' is exact there (6 before)
+    result = collocation_oracle(F_AFFINE, ctx_t2, SolveConfig(n=200, u0=1e12))
+    assert result.status == "converged"
+    assert result.iterations <= 3
 
 
 # --- norm bound ------------------------------------------------------------
