@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -30,11 +29,6 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "GridFunction":
-        """Samples of ``fn``, called once on the array of nodes i/n."""
-        return cls(n, np.broadcast_to(fn(np.arange(n + 1) / n), (n + 1,)))
-
-    @classmethod
     def zeros(cls, n: int) -> "GridFunction":
         return cls(n, np.zeros(n + 1))
 
@@ -56,24 +50,9 @@ class GridFunction:
     def min(self) -> float:
         return float(np.min(self.values))
 
-    def is_nonneg(self) -> bool:
-        return self.min() >= -NONNEG_SLACK
-
-    def interp(self, t) -> float | np.ndarray:
-        """Piecewise-linear interpolation at t in [0, 1]."""
-        out = np.interp(t, self.ts, self.values)
-        return float(out) if np.isscalar(t) else out
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
         return GridFunction(self.n, self.values - other.values)
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.n, self.values + other.values)
-
-    def scale(self, c: float) -> "GridFunction":
-        return GridFunction(self.n, c * self.values)
 
     def _check_same_grid(self, other: "GridFunction"):
         if self.n != other.n:

@@ -53,8 +53,8 @@ class SolveConfig:
     u0: float = 0.0
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"grid resolution must be even and >= 4, got {self.n}")
+        if self.n < 20 or self.n % 2 != 0:  # 20: the collocation oracle's smallest grid
+            raise ValueError(f"grid resolution must be even and >= 20, got {self.n}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
@@ -131,24 +131,6 @@ def residual_integral(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> f
     return (u - apply_A(u, f, ctx)).sup_norm()
 
 
-def endpoint_d1(values: np.ndarray, h: float, side: str) -> float:
-    """First derivative at an endpoint, one-sided 4-point stencil, order 3."""
-    if side == "left":
-        return float(np.dot(_D1_FORWARD, values[:4])) / h
-    return -float(np.dot(_D1_FORWARD, values[-1:-5:-1])) / h
-
-
-def endpoint_d2_left(values: np.ndarray, h: float) -> float:
-    """Second derivative at the left endpoint, one-sided 5-point, order 3."""
-    return float(np.dot(_D2_FORWARD, values[:5])) / h**2
-
-
-def fourth_difference(values: np.ndarray, h: float) -> np.ndarray:
-    """Central 5-point fourth difference at interior points 2..n-2."""
-    v = values
-    return (v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2] - 4.0 * v[3:-1] + v[4:]) / h**4
-
-
 def interior_tolerance(n: int, u_norm: float) -> float:
     """Scale-aware bound for |D4 u + f(u)|.
 
@@ -157,6 +139,24 @@ def interior_tolerance(n: int, u_norm: float) -> float:
     1e-6 the fixed floor applies.
     """
     return max(1e-6, 100.0 * np.finfo(float).eps * float(n) ** 4 * u_norm)
+
+
+def _nonlocal_weights(ctx: KernelContext, n: int) -> np.ndarray:
+    """Weights aw of the discrete nonlocal condition u(0) = sum of aw_j u_j
+    (grid Simpson weights times a at the nodes)."""
+    return quadrature.grid_weights(n) * ctx.weight(np.linspace(0.0, 1.0, n + 1))
+
+
+def _ode_defects(u: GridFunction, fvals: np.ndarray, aw: np.ndarray) -> np.ndarray:
+    """Absolute rows of ``_collocation_system`` in differential units:
+    |u'(0)|, |u''(0)|, |D4 u + f(u)| at nodes 2..n-2, |u'(1)| and
+    |u(0) - sum of aw u|."""
+    h = u.h
+    rows = np.abs(_collocation_system(u.values, fvals, aw, h))
+    rows[[0, -2]] /= h
+    rows[1] /= h**2
+    rows[2:-2] /= h**4
+    return rows
 
 
 def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeResidual:
@@ -168,16 +168,8 @@ def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeRes
     """
     if u.n < 9:
         raise ValueError(f"grid too coarse for fourth differences: n={u.n} < 9")
-    fvals = _f_values(u, f)
-    interior = float(np.max(np.abs(fourth_difference(u.values, u.h) + fvals[2:-2])))
-    a_u = GridFunction(u.n, ctx.weight(u.ts) * u.values)
-    bc = max(
-        abs(endpoint_d1(u.values, u.h, "left")),
-        abs(endpoint_d1(u.values, u.h, "right")),
-        abs(endpoint_d2_left(u.values, u.h)),
-        abs(u.values[0] - quadrature.integrate_grid(a_u)),
-    )
-    return OdeResidual(interior=interior, bc=bc)
+    rows = _ode_defects(u, _f_values(u, f)[2:-2], _nonlocal_weights(ctx, u.n))
+    return OdeResidual(interior=float(np.max(rows[2:-2])), bc=float(np.max(rows[[0, 1, -2, -1]])))
 
 
 def _bound_value(u: GridFunction, fvals: np.ndarray, ctx: KernelContext) -> float:
@@ -246,15 +238,14 @@ def _f_derivative(f: ExpressionFn, x: np.ndarray, delta: float = 1e-6) -> np.nda
     return (f(x + step) - f(lower)) / np.where(central, 2.0 * step, step)
 
 
-def _collocation_system(
-    u: np.ndarray, f: ExpressionFn, ctx: KernelContext, aw: np.ndarray, h: float
-) -> np.ndarray:
-    """Scaled residual of the collocation equations (all rows O(||u||))."""
+def _collocation_system(u: np.ndarray, fvals: np.ndarray, aw: np.ndarray, h: float) -> np.ndarray:
+    """Scaled residual of the collocation equations (all rows O(||u||)),
+    given f at the interior nodes 2..n-2; the one definition of the
+    discrete problem."""
     n = len(u) - 1
     r = np.empty(n + 1)
     r[0] = np.dot(_D1_FORWARD, u[:4])  # h * u'(0)
     r[1] = np.dot(_D2_FORWARD, u[:5])  # h^2 * u''(0)
-    fvals = f(np.maximum(u[2:-2], 0.0))
     r[2 : n - 1] = (
         u[:-4] - 4.0 * u[1:-3] + 6.0 * u[2:-2] - 4.0 * u[3:-1] + u[4:] + h**4 * fvals
     )
@@ -301,23 +292,21 @@ def collocation_oracle(
     an unacceptable residual is reported, not raised.
     """
     n = config.n
-    if n < 20:
-        raise ValueError(f"collocation grid needs n >= 20, got n={n}")
     h = 1.0 / n
-    aw = quadrature.grid_weights(n) * ctx.weight(np.linspace(0.0, 1.0, n + 1))
+    aw = _nonlocal_weights(ctx, n)
+
+    def system(v: np.ndarray) -> np.ndarray:
+        return _collocation_system(v, f(np.maximum(v[2:-2], 0.0)), aw, h)
 
     u = config.initial_guess().values.copy()
-    residual = _collocation_system(u, f, ctx, aw, h)
+    residual = system(u)
     res_norm = float(np.max(np.abs(residual)))
     status = "max_iter"
     trace, halvings = [res_norm], []
 
     def floor_tol() -> float:
-        # scaled-units image of the interior tolerance: a genuine defect
-        # delta in D4 units shows up as h^4 * delta here, so converged
-        # means h^4 * max(1e-6, 100 eps n^4 ||u||) = max(1e-6 h^4, 100 eps ||u||)
-        u_norm = float(np.max(np.abs(u)))
-        return max(1e-6 * h**4, 100.0 * np.finfo(float).eps * u_norm)
+        # a defect delta in D4 units shows up as h^4 * delta in the scaled rows
+        return h**4 * interior_tolerance(n, float(np.max(np.abs(u))))
 
     for _ in range(min(config.max_iter, 60)):
         if res_norm <= floor_tol():
@@ -329,7 +318,7 @@ def collocation_oracle(
         for halving in range(30):
             candidate = u + scale * step
             try:
-                cand_res = _collocation_system(candidate, f, ctx, aw, h)
+                cand_res = system(candidate)
                 cand_norm = float(np.max(np.abs(cand_res)))
             except ExprEvalError:
                 cand_norm = math.inf  # f overflowed at this step length; halve

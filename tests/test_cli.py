@@ -102,8 +102,13 @@ def test_verify_lemmas_report_file(tmp_path, capsys):
     report = tmp_path / "lemmas.csv"
     assert cli.main(["verify-lemmas", "--report", str(report)]) == 0
     header, rows = read_csv(report)
-    assert header[0] == "check"
+    assert header == ["check", "theta", "worst", "limit", "ok", "t", "s"]
     assert len(rows) >= 8
+    nonneg = rows[0]
+    assert nonneg[0] == "nonnegativity"
+    assert nonneg[1] == "n/a"  # None
+    assert nonneg[4] == "true"  # bool
+    assert rows[1][1] == "0.10000000000000001"  # theta 0.1 to 17 significant digits
 
 
 # --- solve ------------------------------------------------------------------

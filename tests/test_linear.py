@@ -7,8 +7,8 @@ from beambvp.exprlang import parse
 from beambvp.grid import GridFunction
 from beambvp.kernel import correction_rule, correction_values, make_context
 from beambvp.linear import cone_ratio, operator_matrix, polynomial_oracle, solve_linear
-from beambvp.quadrature import QuadratureSettings, integrate_grid
-from beambvp.solver import endpoint_d1, endpoint_d2_left
+from beambvp.quadrature import QuadratureSettings, grid_weights
+from beambvp.solver import _collocation_system
 
 # exact solution for y = 1, a = t^2: u = -t^4/24 + t^3/18 + 5/1008
 ORACLE_Y1 = np.array([5.0 / 1008.0, 0.0, 0.0, 1.0 / 18.0, -1.0 / 24.0])
@@ -172,7 +172,7 @@ def test_linearity(ctx_t2):
     rng = np.random.default_rng(3)
     y = poly_grid(random_nonneg_poly(rng, 4), 400)
     u = solve_linear(y, ctx_t2)
-    u_scaled = solve_linear(y.scale(3.7), ctx_t2)
+    u_scaled = solve_linear(GridFunction(y.n, 3.7 * y.values), ctx_t2)
     err = float(np.max(np.abs(u_scaled.values - 3.7 * u.values)))
     assert err <= 1e-12 * max(1.0, 3.7 * u.sup_norm())
 
@@ -182,14 +182,16 @@ def test_boundary_conditions_of_solutions(ctx_t2):
     n = 2000
     loads = [np.array([1.0])] + [random_nonneg_poly(rng, 4) for _ in range(3)]
     a_vals = np.array([ctx_t2.weight(t) for t in np.linspace(0.0, 1.0, n + 1)])
+    aw = grid_weights(n) * a_vals
     for coeffs in loads:
-        u = solve_linear(poly_grid(coeffs, n), ctx_t2)
+        y = poly_grid(coeffs, n)
+        u = solve_linear(y, ctx_t2)
         h = u.h
-        assert abs(endpoint_d1(u.values, h, "left")) < 1e-6
-        assert abs(endpoint_d1(u.values, h, "right")) < 1e-6
-        assert abs(endpoint_d2_left(u.values, h)) < 1e-6
-        nonlocal_gap = u.values[0] - integrate_grid(GridFunction(n, a_vals * u.values))
-        assert abs(nonlocal_gap) < 1e-8
+        rows = _collocation_system(u.values, y.values[2:-2], aw, h)
+        assert abs(rows[0] / h) < 1e-6  # u'(0)
+        assert abs(rows[-2] / h) < 1e-6  # u'(1)
+        assert abs(rows[1] / h**2) < 1e-6  # u''(0)
+        assert abs(rows[-1]) < 1e-8  # u(0) - integral of a u
 
 
 def test_cone_ratio_zero_function(ctx_t2):

@@ -1,0 +1,37 @@
+"""The benchmark in perfbench/ calls internal names of the program (the CSV
+helpers, ProblemFile.config and .quad, module attributes it wraps for
+timing).  This runs its traced pipelines once on a small problem so a
+change that moves one of those names fails here, not only in the
+benchmark."""
+
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    return workloads
+
+
+def test_internal_calls_resolve(workloads):
+    for module, attr, _ in workloads.INTERNAL_CALLS:
+        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+
+def test_traced_pipelines_run(workloads, tmp_path):
+    from tracing import Tracer
+
+    path = tmp_path / "case.problem"
+    path.write_text("f = 0.5*u/(1+u) + 1\na = 0.9*t^2\ngrid_n = 200\nu0 = constant 1\n")
+    csv_path = tmp_path / "solution.csv"
+    code, out = workloads.traced_solve(Tracer(), path, csv_path)
+    assert code == 0, out
+    assert len(csv_path.read_text().splitlines()) == 202
+    code, out = workloads.traced_analyze(Tracer(), path)
+    assert code == 0, out

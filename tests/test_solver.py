@@ -136,8 +136,9 @@ def test_converged_report_is_consistent(ctx_t2):
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(n=101)
+    for n in (101, 8, 18):  # below 20 the collocation oracle has no grid
+        with pytest.raises(ValueError):
+            SolveConfig(n=n)
     for tol in (0.0, math.inf):
         with pytest.raises(ValueError):
             SolveConfig(tol=tol)
@@ -229,14 +230,18 @@ def _newton_inputs(ctx, n, seed=0):
     return rng.uniform(0.0, 2.0, n + 1), aw, 1.0 / n
 
 
+def _system(u, f, aw, h):
+    return _collocation_system(u, f(np.maximum(u[2:-2], 0.0)), aw, h)
+
+
 @pytest.mark.parametrize("n", [40, 800])
 def test_newton_step_solves_affine_system(ctx_t2, n):
     # f = 2 + 3u makes the collocation system affine: one undamped step is exact
     f = parse("2+3*u", "u")
     u, aw, h = _newton_inputs(ctx_t2, n)
-    residual = _collocation_system(u, f, ctx_t2, aw, h)
+    residual = _system(u, f, aw, h)
     step = _newton_step(u, residual, f, aw, h)
-    after = _collocation_system(u + step, f, ctx_t2, aw, h)
+    after = _system(u + step, f, aw, h)
     assert float(np.max(np.abs(after))) < 1e-13 * float(np.max(np.abs(residual)))
 
 
@@ -246,9 +251,9 @@ def test_newton_step_matches_dense_solve(ctx_t2):
     f = parse("1+u", "u")
     n = 40
     u, aw, h = _newton_inputs(ctx_t2, n, seed=1)
-    residual = _collocation_system(u, f, ctx_t2, aw, h)
+    residual = _system(u, f, aw, h)
     jac = np.column_stack([
-        _collocation_system(u + np.eye(n + 1)[j], f, ctx_t2, aw, h) - residual
+        _system(u + np.eye(n + 1)[j], f, aw, h) - residual
         for j in range(n + 1)
     ])
     dense = np.linalg.solve(jac, -residual)
