@@ -36,7 +36,7 @@ from .errors import HypothesisViolation, NumericError
 from .exprlang import ExpressionFn, ExprEvalError, ExprSyntaxError, parse
 from .grid import GridFunction
 from .kernel import KernelContext
-from .linear import cone_ratio, solve_linear
+from .linear import cone_ratio, operator_matrix
 from .quadrature import QuadratureSettings
 from .solver import SolveConfig
 
@@ -236,11 +236,11 @@ def _cone_checks(thetas: Sequence[float], n: int) -> list[dict]:
     loads = [_random_nonneg_poly(rng, 4) for _ in range(20)]
     for theta in thetas:
         ctx = kernel.make_context(a, theta=theta)
+        op = operator_matrix(ctx, n)
         worst_margin, worst_min, worst_case = np.inf, np.inf, -1
         for case, coeffs in enumerate(loads):
-            y = GridFunction(n, np.polynomial.polynomial.polyval(
+            u = GridFunction(n, op @ np.polynomial.polynomial.polyval(
                 np.linspace(0.0, 1.0, n + 1), coeffs))
-            u = solve_linear(y, ctx)
             check = cone_ratio(u, ctx)
             margin = check.min_inner - check.threshold * check.norm
             if margin < worst_margin:
@@ -292,7 +292,7 @@ def _solution_csv_rows(
 ) -> list[list[float]]:
     n = u.n
     try:
-        au = solver.apply_A(u, f, ctx).values
+        au = solver.apply_A(u, f, operator_matrix(ctx, n)).values
     except (HypothesisViolation, NumericError, ValueError, ExprEvalError):
         au = np.full(n + 1, np.nan)  # diverged iterates can overflow f
     residual = np.full(n + 1, np.nan)

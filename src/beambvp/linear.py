@@ -14,8 +14,11 @@ binomial shift plus the exact moment of one panel: four chained prefix
 sums that add, never subtract, earlier moments, so nothing large
 cancels.  A point inside a panel adds the closed-form partial-panel
 moment.  The nonlocal constant, integral of c(s) y(s) ds, is the same
-evaluator summed over :func:`kernel.correction_rule`.  One application
-is O(n) in time and memory.  Two properties follow that a plain
+evaluator summed over :func:`kernel.correction_rule`.  Building the
+operator does the y-independent work once (panel positions of the nodes
+and abscissae, their partial-panel moments, the correction weights); one
+application is O(n) in time and memory, so callers that apply it many
+times build it once.  Two properties follow that a plain
 sample-the-kernel-at-nodes Nystrom matrix does not give:
 
 * the operator is exact (to roundoff) whenever y is piecewise quadratic,
@@ -57,38 +60,45 @@ def _partial_moment3(xi: np.ndarray) -> np.ndarray:
     return np.stack([x4 / 4 - 3 * x5 / 20 + x6 / 30, x5 / 5 - x6 / 15, x6 / 30 - x5 / 20])
 
 
-def _apply(ctx: KernelContext, y: np.ndarray) -> np.ndarray:
-    """Grid values of integral of H(t, s) y(s) ds for grid values y."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    panels = (len(y) - 1) // 2
-    d = 1.0 / panels
-    ends = np.stack([y[0:-1:2], y[1::2], y[2::2]])  # (basis, panel)
-    local = (_PANEL_MOMENTS @ ends) * d ** np.arange(1, 5)[:, None]
-    j = np.zeros((4, panels + 1))  # Jm at the panel starts 0, d, ..., 1
-    for m in range(4):
-        shift = sum(comb(m, k) * d ** (m - k) * j[k, :-1] for k in range(m))
-        j[m, 1:] = np.cumsum(local[m] + shift)
-
-    def v(x: np.ndarray) -> np.ndarray:  # x = t / d, position in panel units
-        p = np.minimum(x.astype(int), panels - 1)
-        xi = x - p
-        dx = xi * d
-        j3 = j[3, p] + dx * (3.0 * j[2, p] + dx * (3.0 * j[1, p] + dx * j[0, p]))
-        j3 += d**4 * np.einsum("bk,bk->k", _partial_moment3(xi), ends[:, p])
-        return ((x * d) ** 3 * j[2, -1] - j3) / 6.0
-
-    taus, weights = kernel.correction_rule(ctx)
-    return v(np.arange(len(y)) / 2.0) + weights @ v(taus * panels)
-
-
 def operator_matrix(ctx: KernelContext, n: int) -> LinearOperator:
     """(n+1) x (n+1) operator mapping grid y-values to grid u-values.
 
-    ``@`` applies it in O(n) time and memory; no matrix is formed.
+    Building it does the y-independent work once: where each node and
+    each abscissa of :func:`kernel.correction_rule` falls in its panel,
+    and the rule's weights.  ``@`` then applies it in O(n) time and
+    memory; no matrix is formed.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"operator grid needs even n >= 2, got n={n}")
-    return LinearOperator((n + 1, n + 1), matvec=lambda y: _apply(ctx, y), dtype=float)
+    panels = n // 2
+    d = 1.0 / panels
+
+    def place(x: np.ndarray) -> tuple:  # x = t / d, position in panel units
+        p = np.minimum(x.astype(int), panels - 1)
+        xi = x - p
+        # y[2p + b]: the values of basis b on each point's panel
+        return p, 2 * p + np.arange(3)[:, None], xi * d, _partial_moment3(xi), (x * d) ** 3
+
+    taus, weights = kernel.correction_rule(ctx)
+    at_nodes, at_taus = place(np.arange(n + 1) / 2.0), place(taus * panels)
+
+    def matvec(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float).reshape(-1)
+        ends = np.stack([y[0:-1:2], y[1::2], y[2::2]])  # (basis, panel)
+        local = (_PANEL_MOMENTS @ ends) * d ** np.arange(1, 5)[:, None]
+        j = np.zeros((4, panels + 1))  # Jm at the panel starts 0, d, ..., 1
+        for m in range(4):
+            shift = sum(comb(m, k) * d ** (m - k) * j[k, :-1] for k in range(m))
+            j[m, 1:] = np.cumsum(local[m] + shift)
+
+        def v(p, panel_ends, dx, moment3, cube):
+            j3 = j[3][p] + dx * (3.0 * j[2][p] + dx * (3.0 * j[1][p] + dx * j[0][p]))
+            j3 += d**4 * np.einsum("bk,bk->k", moment3, y[panel_ends])
+            return (cube * j[2, -1] - j3) / 6.0
+
+        return v(*at_nodes) + weights @ v(*at_taus)
+
+    return LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
 
 
 def solve_linear(y: GridFunction, ctx: KernelContext) -> GridFunction:

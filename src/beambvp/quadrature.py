@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .grid import GridFunction
 
 # Simpson's reference nodes/weights on [0, 1] for one panel
 _X = np.array([0.0, 0.5, 1.0])
@@ -88,8 +87,3 @@ def grid_weights(n: int) -> np.ndarray:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (h / 3.0)
-
-
-def integrate_grid(values: GridFunction) -> float:
-    """Integral over [0, 1] of a grid-sampled integrand."""
-    return float(np.dot(grid_weights(values.n), values.values))

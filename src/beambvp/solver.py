@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from . import quadrature
 from .errors import NumericError, require_nonneg
@@ -117,10 +118,12 @@ def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
     return out
 
 
-def apply_A(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> GridFunction:
-    """One application of the integral operator; output is >= 0 on the grid."""
+def apply_A(u: GridFunction, f: ExpressionFn, op: LinearOperator) -> GridFunction:
+    """One application of the integral operator, with ``op`` from
+    ``operator_matrix(ctx, u.n)``; output is >= 0 on the grid.  Build ``op``
+    once and pass it to every application on the same grid."""
     fvals = _f_values(u, f)
-    out = operator_matrix(ctx, u.n) @ fvals
+    out = op @ fvals
     if not np.all(np.isfinite(out)):
         raise NumericError("operator application overflowed")
     return GridFunction(u.n, out)
@@ -128,7 +131,7 @@ def apply_A(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> GridFunctio
 
 def residual_integral(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> float:
     """Sup-norm fixed-point defect ||u - A u|| on the grid."""
-    return (u - apply_A(u, f, ctx)).sup_norm()
+    return (u - apply_A(u, f, operator_matrix(ctx, u.n))).sup_norm()
 
 
 def interior_tolerance(n: int, u_norm: float) -> float:
@@ -182,7 +185,7 @@ def norm_bound_check(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> Bo
     """Check ||A u|| <= (1/(1-alpha)) * integral of g f(u), with 1e-10 slack."""
     fvals = _f_values(u, f)
     bound = _bound_value(u, fvals, ctx)
-    au_norm = apply_A(u, f, ctx).sup_norm()
+    au_norm = apply_A(u, f, operator_matrix(ctx, u.n)).sup_norm()
     return BoundCheck(bound=bound, au_norm=au_norm, holds=au_norm <= bound + BOUND_SLACK)
 
 
@@ -194,12 +197,13 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
     the last finite iterate.  Diagnostics are computed on the returned
     iterate either way.
     """
+    op = operator_matrix(ctx, config.n)
     u = config.initial_guess()
     deltas: list[float] = []
     status = "max_iter"
     for _ in range(config.max_iter):
         try:
-            au = apply_A(u, f, ctx)
+            au = apply_A(u, f, op)
         except (ExprEvalError, NumericError):
             status = "diverged"
             break
@@ -212,7 +216,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
 
     try:
         fvals = _f_values(u, f)
-        res_int = float(np.max(np.abs(u.values - operator_matrix(ctx, u.n) @ fvals)))
+        res_int = float(np.max(np.abs(u.values - op @ fvals)))
         res_ode = residual_ode(u, f, ctx)
         bound = _bound_value(u, fvals, ctx)
     except (ExprEvalError, NumericError):

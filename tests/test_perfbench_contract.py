@@ -35,3 +35,13 @@ def test_traced_pipelines_run(workloads, tmp_path):
     assert len(csv_path.read_text().splitlines()) == 202
     code, out = workloads.traced_analyze(Tracer(), path)
     assert code == 0, out
+
+
+def test_picard_reuse_round_runs(workloads, tmp_path):
+    from tracing import Tracer
+
+    bench = workloads.PicardReuse(seed=1)
+    bench.setup(tmp_path / "round", pool_cycles=1)
+    for tracer in (None, Tracer()):
+        outcome = bench.op(0, 0, tracer)
+        assert bench.check(bench.case(0, 0), outcome) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from beambvp.errors import HypothesisViolation
 from beambvp.exprlang import parse
 from beambvp.grid import GridFunction
 from beambvp.kernel import make_context
-from beambvp.linear import cone_ratio
+from beambvp.linear import cone_ratio, operator_matrix
 from beambvp import quadrature
 from beambvp.solver import (
     SolveConfig,
@@ -41,38 +42,39 @@ def oracle_grid(n):
 
 
 def test_apply_A_zero_nonlinearity(ctx_t2):
-    au = apply_A(GridFunction.constant(1.0, 200), F_ZERO, ctx_t2)
+    au = apply_A(GridFunction.constant(1.0, 200), F_ZERO, operator_matrix(ctx_t2, 200))
     assert au.sup_norm() == 0.0
 
 
 def test_apply_A_constant_f_is_linear_solve(ctx_t2):
-    au = apply_A(GridFunction.zeros(2000), F_ONE, ctx_t2)
+    au = apply_A(GridFunction.zeros(2000), F_ONE, operator_matrix(ctx_t2, 2000))
     exact = np.polynomial.polynomial.polyval(au.ts, ORACLE_Y1)
     assert float(np.max(np.abs(au.values - exact))) < 1e-8
 
 
 def test_apply_A_at_zero_with_vanishing_f(ctx_t2):
-    au = apply_A(GridFunction.zeros(400), F_BOUNDED, ctx_t2)
+    au = apply_A(GridFunction.zeros(400), F_BOUNDED, operator_matrix(ctx_t2, 400))
     assert au.sup_norm() == 0.0
 
 
 def test_apply_A_rejects_negative_input(ctx_t2):
     with pytest.raises(ValueError):
-        apply_A(GridFunction.constant(-1.0, 200), F_ONE, ctx_t2)
+        apply_A(GridFunction.constant(-1.0, 200), F_ONE, operator_matrix(ctx_t2, 200))
 
 
 def test_apply_A_rejects_negative_f(ctx_t2):
     with pytest.raises(HypothesisViolation) as exc:
-        apply_A(GridFunction.zeros(200), parse("u-1", "u"), ctx_t2)
+        apply_A(GridFunction.zeros(200), parse("u-1", "u"), operator_matrix(ctx_t2, 200))
     assert exc.value.which == "H1"
 
 
 def test_apply_A_output_nonnegative(ctx_t2):
     rng = np.random.default_rng(23)
+    op = operator_matrix(ctx_t2, 400)
     for f in (F_ONE, F_AFFINE, parse("u^2", "u")):
         for _ in range(5):
             u = GridFunction(400, rng.uniform(0.0, 1.0, 401))
-            assert apply_A(u, f, ctx_t2).min() >= -1e-12
+            assert apply_A(u, f, op).min() >= -1e-12
 
 
 # --- picard_solve ----------------------------------------------------------
@@ -103,6 +105,25 @@ def test_picard_affine_f_matches_collocation(ctx_t2):
     assert gap < 1e-6
 
 
+def test_weight_evaluated_once_per_operator(ctx_t2):
+    calls = []
+
+    def counting_weight(ts):
+        calls.append(ts)
+        return ctx_t2.weight(ts)
+
+    ctx = dataclasses.replace(ctx_t2, weight=counting_weight)
+    op = operator_matrix(ctx, 400)
+    assert len(calls) == 1
+    op @ np.ones(401)
+    assert len(calls) == 1
+    for f, u0, iterations in ((F_ONE, 0.0, 2), (F_AFFINE, 1.0, 6)):
+        calls.clear()
+        report = picard_solve(f, ctx, SolveConfig(n=400, u0=u0))
+        assert report.iterations == iterations
+        assert len(calls) == 2  # the operator build and residual_ode
+
+
 def test_picard_respects_max_iter(ctx_t2):
     report = picard_solve(F_AFFINE, ctx_t2, SolveConfig(n=100, tol=1e-16, max_iter=2))
     assert report.status == "max_iter"
@@ -122,7 +143,7 @@ def test_report_invariants(ctx_t2):
         assert report.residual_integral >= 0.0
         assert report.residual_ode.interior >= 0.0 and report.residual_ode.bc >= 0.0
         assert report.trivial == (report.solution.sup_norm() < 1e-8)
-        au_norm = apply_A(report.solution, f, ctx_t2).sup_norm()
+        au_norm = apply_A(report.solution, f, operator_matrix(ctx_t2, 400)).sup_norm()
         assert au_norm <= report.norm_bound + 1e-10
         assert report.iterations == len(report.delta_trace)
 
@@ -322,9 +343,10 @@ def test_norm_bound_random_quadratic(ctx_t2):
 def test_cone_preservation_random_inputs(theta):
     rng = np.random.default_rng(29)
     ctx = make_context(parse("t^2", "t"), theta=theta)
+    op = operator_matrix(ctx, 400)
     for f in (F_ONE, F_AFFINE, parse("u^2", "u"), F_SATURATING):
         for _ in range(5):
             u = GridFunction(400, rng.uniform(0.0, 1.0, 401))
-            au = apply_A(u, f, ctx)
+            au = apply_A(u, f, op)
             check = cone_ratio(au, ctx)
             assert check.min_inner >= check.threshold * check.norm - 1e-10
