@@ -12,7 +12,8 @@ Subcommands:
   example problems and prints a combined report.
 
 Exit codes: 0 ok, 1 lemma violation, 2 hypothesis violation,
-3 parse or usage error, 4 solver non-convergence.
+3 parse or usage error (an unreadable input or unwritable output
+included), 4 solver non-convergence.
 
 Problem files are flat ``key = value`` text with ``#`` comments; keys
 are f, a, theta, grid_n, quad_panels, tol, max_iter, u0.  All reals in
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -313,7 +315,10 @@ def _solve_problem(problem: ProblemFile, h1h2, ctx: KernelContext, u0_override: 
     report = solver.picard_solve(problem.f, ctx, config)
     colloc = solver.collocation_oracle(problem.f, ctx, config)
     agreement = float(np.max(np.abs(report.solution.values - colloc.solution.values)))
-    bound_at_start = solver.norm_bound_check(config.initial_guess(), problem.f, ctx)
+    try:
+        bound_at_start = solver.norm_bound_check(config.initial_guess(), problem.f, ctx)
+    except (ExprEvalError, NumericError):  # f or A u0 overflows at a huge u0
+        bound_at_start = solver.BoundCheck(bound=math.inf, au_norm=math.inf, holds=False)
     outcome = dict(
         h1h2=h1h2, ctx=ctx, config=config, report=report, colloc=colloc,
         agreement=agreement, bound_at_start=bound_at_start,
@@ -556,6 +561,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_HYPOTHESIS
     except (ProblemError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -219,8 +219,11 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.peek()
         if tok.kind == "num":
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"numeric literal {tok.text!r} overflows", tok.pos)
             self.advance()
-            return Num(float(tok.text), pos=tok.pos)
+            return Num(value, pos=tok.pos)
         if tok.kind == "ident":
             self.advance()
             if tok.text in FUNCTION_NAMES:

@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from . import kernel
 from .errors import HypothesisViolation
@@ -60,7 +59,19 @@ def _partial_moment3(xi: np.ndarray) -> np.ndarray:
     return np.stack([x4 / 4 - 3 * x5 / 20 + x6 / 30, x5 / 5 - x6 / 15, x6 / 30 - x5 / 20])
 
 
-def operator_matrix(ctx: KernelContext, n: int) -> LinearOperator:
+@dataclass(frozen=True)
+class KernelOperator:
+    """The discrete kernel operator: ``op @ y`` maps the n + 1 grid values
+    of y to those of u."""
+
+    shape: tuple[int, int]
+    matvec: Callable[[np.ndarray], np.ndarray]
+
+    def __matmul__(self, y) -> np.ndarray:
+        return self.matvec(y)
+
+
+def operator_matrix(ctx: KernelContext, n: int) -> KernelOperator:
     """(n+1) x (n+1) operator mapping grid y-values to grid u-values.
 
     Building it does the y-independent work once: where each node and
@@ -98,7 +109,7 @@ def operator_matrix(ctx: KernelContext, n: int) -> LinearOperator:
 
         return v(*at_nodes) + weights @ v(*at_taus)
 
-    return LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
+    return KernelOperator((n + 1, n + 1), matvec)
 
 
 def solve_linear(y: GridFunction, ctx: KernelContext) -> GridFunction:

@@ -25,15 +25,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import LinearOperator
 
 from . import quadrature
 from .errors import NumericError, require_nonneg
 from .exprlang import ExpressionFn, ExprEvalError
 from .grid import GridFunction, NONNEG_SLACK
 from .kernel import KernelContext, g_weight
-from .linear import ConeCheck, cone_ratio, operator_matrix
+from .linear import ConeCheck, KernelOperator, cone_ratio, operator_matrix
 
 TRIVIALITY_THRESHOLD = 1e-8
 BOUND_SLACK = 1e-10
@@ -96,7 +94,7 @@ class SolveReport:
 @dataclass(frozen=True)
 class CollocationResult:
     solution: GridFunction = field(repr=False)
-    status: str  # converged | stagnated | max_iter
+    status: str  # converged | stagnated | max_iter | diverged
     iterations: int
     residual: float
     residual_trace: list[float] = field(repr=False)  # initial, then one per step
@@ -118,7 +116,7 @@ def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
     return out
 
 
-def apply_A(u: GridFunction, f: ExpressionFn, op: LinearOperator) -> GridFunction:
+def apply_A(u: GridFunction, f: ExpressionFn, op: KernelOperator) -> GridFunction:
     """One application of the integral operator, with ``op`` from
     ``operator_matrix(ctx, u.n)``; output is >= 0 on the grid.  Build ``op``
     once and pass it to every application on the same grid."""
@@ -265,6 +263,8 @@ def _newton_step(
     in O(n).  Rows 0..n-1 of J are banded (2 below the diagonal, 3 above) and
     fill LAPACK band storage ab[3 + i - j, j] = J[i, j]; the dense row
     J[n] = e_0 - aw is replaced by e_n and restored by Sherman-Morrison."""
+    import scipy.linalg  # deferred: only this step needs scipy, and its import is slow
+
     n = len(u) - 1
     m = np.arange(5)
     ab = np.zeros((6, n + 1))
@@ -293,7 +293,9 @@ def collocation_oracle(
     interior rows are scaled by h^4 so every equation is O(||u||) and the
     Newton residual can be driven to rounding level.  Steps are halved
     (up to 30 times) whenever the residual would increase; stagnation at
-    an unacceptable residual is reported, not raised.
+    an unacceptable residual is reported, not raised.  When f overflows at
+    the initial guess the status is "diverged", with 0 steps and an
+    infinite residual.
     """
     n = config.n
     h = 1.0 / n
@@ -303,7 +305,13 @@ def collocation_oracle(
         return _collocation_system(v, f(np.maximum(v[2:-2], 0.0)), aw, h)
 
     u = config.initial_guess().values.copy()
-    residual = system(u)
+    try:
+        residual = system(u)
+    except ExprEvalError:  # f overflows at the initial guess: no step can start
+        return CollocationResult(
+            solution=GridFunction(n, u), status="diverged", iterations=0,
+            residual=math.inf, residual_trace=[math.inf], halvings=[],
+        )
     res_norm = float(np.max(np.abs(residual)))
     status = "max_iter"
     trace, halvings = [res_norm], []

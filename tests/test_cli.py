@@ -227,6 +227,46 @@ def test_solve_diverged_iterate_writes_nan_column(tmp_path, capsys):
     assert all(row[2] == "nan" for row in rows)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "f = 0.001*exp(u)\na = t^2\ngrid_n = 40\nu0 = constant 800\n",
+        "f = 0.001*u^3\na = t^2\ngrid_n = 40\nu0 = constant 1e120\n",
+    ],
+    ids=["exp", "cube"],
+)
+def test_solve_overflow_at_initial_guess_exit(tmp_path, capsys, text):
+    # f overflows at u0 itself: no Picard step, no Newton step, no bound
+    out_csv = tmp_path / "u.csv"
+    assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(out_csv)]) == 4
+    out = capsys.readouterr().out
+    assert _summary_value(out, "status") == "diverged"
+    assert _summary_value(out, "collocation_status") == "diverged"
+    assert _summary_value(out, "collocation_newton_iterations") == "0"
+    assert _summary_value(out, "collocation_residual") == "inf"
+    assert _summary_value(out, "norm_bound_at_initial_guess") == "inf"
+    _, rows = read_csv(out_csv)
+    assert len(rows) == 41
+    assert all(row[2] == "nan" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("solve", "f = 1e400\na = t^2\ngrid_n = 40\n"),
+        ("solve", "f = u*0+1e400\na = t^2\ngrid_n = 40\n"),
+        ("analyze", "f = 1e400\na = t^2\n"),
+        ("analyze", "f = u\na = 1e400*t^2\n"),
+    ],
+    ids=["solve-f", "solve-f-sum", "analyze-f", "analyze-a"],
+)
+def test_overflowing_literal_exit(tmp_path, capsys, command, text):
+    path = write_problem(tmp_path, text)
+    assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'1e400'" in err[0]
+
+
 # --- analyze ----------------------------------------------------------------
 
 
@@ -384,3 +424,26 @@ def test_grid_self_consistency(tmp_path, capsys):
     u_f = np.array([float(r[1]) for r in rows_f])
     assert float(np.max(np.abs(u_c - u_f[::8]))) < 1e-6
     assert base.grid_n == 200
+
+
+# --- output paths -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{problem}", "--out", "{bad}"],
+        ["analyze", "{problem}", "--out", "{bad}"],
+        ["verify-lemmas", "--grid", "20", "--report", "{bad}"],
+        ["reproduce-examples", "--grid", "40", "--out-dir", "{bad}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_path_exit(tmp_path, capsys, argv):
+    # the path lies under a regular file, so it can be neither created nor opened
+    (tmp_path / "file").write_text("")
+    names = dict(problem=write_problem(tmp_path, PROBE), bad=str(tmp_path / "file" / "x"))
+    assert cli.main([arg.format(**names) for arg in argv]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.problem", "file"]

@@ -99,6 +99,14 @@ def test_huge_exponent_rejected_at_parse_time():
         parse("u^9999999")
 
 
+def test_overflowing_literal_rejected_at_its_offset():
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("u*0+1e400")
+    assert exc.value.offset == 4
+    assert "'1e400'" in str(exc.value)
+    assert parse("1e-400")(1.0) == 0.0  # underflow to zero is a finite literal
+
+
 def test_eval_examples():
     assert parse("u*(1-exp(-u))")(0.0) == 0.0
     assert parse("t^2")(0.5) == 0.25
