@@ -26,7 +26,7 @@ import argparse
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -50,6 +50,7 @@ EXIT_NONCONVERGENCE = 4
 
 _RNG_SEED = 20240801
 _DEFAULT_THETAS = (0.1, 0.25, 0.4)
+_MAX_LEMMA_GRID = 2000  # verify-lemmas builds dense (grid + 1)^2 arrays
 
 
 class ProblemError(ValueError):
@@ -64,34 +65,30 @@ class ProblemFile:
 
     f: ExpressionFn
     a: ExpressionFn
-    theta: float = 0.25
-    grid_n: int = 800
-    quad_panels: int = 200
-    tol: float = 1e-10
-    max_iter: int = 500
-    u0: float = 0.0
-
-    _config: SolveConfig = field(init=False, repr=False, compare=False)
+    theta: float = kernel.DEFAULT_THETA
+    grid_n: int = SolveConfig.n
+    quad_panels: int = QuadratureSettings.panels
+    tol: float = SolveConfig.tol
+    max_iter: int = SolveConfig.max_iter
+    u0: float = SolveConfig.u0
 
     def __post_init__(self):
         if not 0.0 < self.theta < 0.5:
             raise ProblemError(f"theta must lie in (0, 1/2), got {self.theta}")
         if self.quad_panels < 1:
             raise ProblemError(f"quad_panels must be >= 1, got {self.quad_panels}")
-        try:  # SolveConfig checks grid_n, tol, max_iter and u0
-            config = SolveConfig(n=self.grid_n, tol=self.tol, max_iter=self.max_iter, u0=self.u0)
-        except ValueError as exc:
-            raise ProblemError(str(exc)) from None
-        object.__setattr__(self, "_config", config)
+        self.config()  # SolveConfig checks grid_n, tol, max_iter and u0
 
     @property
     def quad(self) -> QuadratureSettings:
         return QuadratureSettings(panels=self.quad_panels)
 
     def config(self, u0_override: Optional[str] = None) -> SolveConfig:
-        if u0_override is not None:
-            return dataclasses.replace(self, u0=parse_u0(u0_override))._config
-        return self._config
+        u0 = self.u0 if u0_override is None else parse_u0(u0_override)
+        try:
+            return SolveConfig(n=self.grid_n, tol=self.tol, max_iter=self.max_iter, u0=u0)
+        except ValueError as exc:
+            raise ProblemError(str(exc)) from None
 
 
 def parse_u0(descriptor: str) -> float:
@@ -369,7 +366,9 @@ def _print_solve_summary(problem: ProblemFile, outcome: dict) -> None:
         ("collocation_status", colloc.status),
         ("collocation_newton_iterations", colloc.iterations),
         ("collocation_residual", colloc.residual),
-        ("oracle_agreement_sup", outcome["agreement"]),
+        # a diverged method's solution is its last finite iterate, not an answer
+        ("oracle_agreement_sup",
+         None if "diverged" in (report.status, colloc.status) else outcome["agreement"]),
     ]
     for key, value in lines:
         print(f"{key} = {_fmt(value)}")
@@ -500,10 +499,12 @@ def _theta_list(text: str) -> list[float]:
     return values
 
 
-def _positive_int(text: str) -> int:
+def _lemma_grid(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if not 1 <= value <= _MAX_LEMMA_GRID:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [1, {_MAX_LEMMA_GRID}] (the checks build dense "
+            f"(grid + 1)^2 arrays), got {value}")
     return value
 
 
@@ -527,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-lemmas", help="grid checks of the kernel inequalities")
     p_verify.add_argument("--theta", type=_theta_list, default=None,
                           help="comma-separated thetas in (0, 1/2)")
-    p_verify.add_argument("--grid", type=_positive_int, default=200,
-                          help="grid intervals (default 200)")
+    p_verify.add_argument("--grid", type=_lemma_grid, default=200,
+                          help=f"grid intervals, at most {_MAX_LEMMA_GRID} (default 200)")
     p_verify.add_argument("--report", default=None, help="optional CSV report path")
     p_verify.set_defaults(func=cmd_verify_lemmas)
 

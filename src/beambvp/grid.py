@@ -29,10 +29,6 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def zeros(cls, n: int) -> "GridFunction":
-        return cls(n, np.zeros(n + 1))
-
-    @classmethod
     def constant(cls, c: float, n: int) -> "GridFunction":
         return cls(n, np.full(n + 1, float(c)))
 
@@ -49,11 +45,3 @@ class GridFunction:
 
     def min(self) -> float:
         return float(np.min(self.values))
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.n, self.values - other.values)
-
-    def _check_same_grid(self, other: "GridFunction"):
-        if self.n != other.n:
-            raise ValueError(f"grid mismatch: n={self.n} vs n={other.n}")

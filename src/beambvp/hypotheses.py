@@ -211,7 +211,7 @@ def check_h1_h2(
     """
     # NaN where f overflowed: those points are skipped
     fvals, _ = _scan(f, np.concatenate(([0.0], _scan_grid(-9.0, 6.0))))
-    _, a_vals, alpha = kernel._weight_samples(a, quad)
+    _, a_vals, _, alpha = kernel._weight_samples(a, quad)
     h2 = bool(np.all(a_vals >= 0.0)) and 0.0 < alpha < 1.0
     return H1H2Report(h1=not np.any(fvals < 0.0), h2=h2, alpha=alpha)
 

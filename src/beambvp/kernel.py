@@ -80,13 +80,17 @@ class KernelContext:
     alpha is the total mass of a over [0, 1]; beta the mass over
     [theta, 1 - theta].  The cone constant theta^3 (1 - alpha + beta)
     governs how far solutions can dip on the inner interval relative to
-    their sup-norm.
+    their sup-norm.  taus and tau_weights are the nonlocal correction
+    rule, c(s) = sum of tau_weights * G(taus, s): the quadrature's
+    abscissae and weights on [0, 1], folded with a(tau) / (1 - alpha).
     """
 
     weight: ExpressionFn
     theta: float
     alpha: float
     beta: float
+    taus: np.ndarray = field(repr=False, compare=False)
+    tau_weights: np.ndarray = field(repr=False, compare=False)
     quad: QuadratureSettings = field(default=quadrature.DEFAULT_SETTINGS)
 
     @property
@@ -95,14 +99,17 @@ class KernelContext:
 
 
 def _weight_samples(weight: ExpressionFn, quad: QuadratureSettings) -> tuple:
-    """(ts, a(ts), alpha): the H2 sample set, 1001 uniform points plus the
-    quadrature abscissae, the weight on it, and its mass over [0, 1]."""
-    ts = np.union1d(np.linspace(0.0, 1.0, 1001), quadrature.nodes(0.0, 1.0, quad))
+    """(ts, a(ts), a(taus), alpha) from one evaluation of the weight: the
+    H2 sample set ts, 1001 uniform points plus the quadrature abscissae
+    taus on [0, 1], and the weight's mass over [0, 1] by the rule."""
+    taus = quadrature.nodes(0.0, 1.0, quad)
+    ts, at = np.unique(np.concatenate((np.linspace(0.0, 1.0, 1001), taus)), return_inverse=True)
     try:
         a_vals = weight(ts)
     except ExprEvalError as exc:
         raise HypothesisViolation("H2", f"a cannot be evaluated at t = {exc.x}: {exc}") from exc
-    return ts, a_vals, quadrature.integrate(weight, 0.0, 1.0, quad)
+    a_taus = a_vals[at[1001:]]
+    return ts, a_vals, a_taus, quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)
 
 
 def make_context(
@@ -110,7 +117,8 @@ def make_context(
     theta: float = DEFAULT_THETA,
     quad: QuadratureSettings = quadrature.DEFAULT_SETTINGS,
 ) -> KernelContext:
-    """Validate the boundary weight and compute alpha, beta by quadrature.
+    """Validate the boundary weight and compute alpha, beta and the
+    correction rule by quadrature.
 
     Nonnegativity of the weight is checked at 1001 uniform points plus the
     quadrature abscissae; a weight dipping negative strictly between
@@ -118,7 +126,7 @@ def make_context(
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
-    ts, a_vals, alpha = _weight_samples(weight, quad)
+    ts, a_vals, a_taus, alpha = _weight_samples(weight, quad)
     require_nonneg("H2", "a", ts, a_vals)
     if not 0.0 < alpha < 1.0:
         raise HypothesisViolation(
@@ -126,14 +134,11 @@ def make_context(
         )
     beta = quadrature.integrate(weight, theta, 1.0 - theta, quad)
     beta = min(max(beta, 0.0), alpha)
-    return KernelContext(weight=weight, theta=theta, alpha=alpha, beta=beta, quad=quad)
-
-
-def correction_rule(ctx: KernelContext) -> tuple[np.ndarray, np.ndarray]:
-    """(taus, weights) with c(s) = sum of weights * G(taus, s): the context's
-    quadrature rule for the tau integral, folded with a(tau) / (1 - alpha)."""
-    taus, ws = quadrature.nodes_weights(0.0, 1.0, ctx.quad)
-    return taus, ctx.weight(taus) * ws / (1.0 - ctx.alpha)
+    taus, ws = quadrature.nodes_weights(0.0, 1.0, quad)
+    return KernelContext(
+        weight=weight, theta=theta, alpha=alpha, beta=beta,
+        taus=taus, tau_weights=a_taus * ws / (1.0 - alpha), quad=quad,
+    )
 
 
 def correction_values(ctx: KernelContext, ss: np.ndarray) -> np.ndarray:
@@ -142,5 +147,4 @@ def correction_values(ctx: KernelContext, ss: np.ndarray) -> np.ndarray:
     This is the t-independent part of the modified kernel
     H(t, s) = G(t, s) + c(s).
     """
-    taus, weights = correction_rule(ctx)
-    return weights @ green_matrix(taus, np.atleast_1d(np.asarray(ss, dtype=float)))
+    return ctx.tau_weights @ green_matrix(ctx.taus, np.atleast_1d(np.asarray(ss, dtype=float)))

@@ -14,12 +14,13 @@ binomial shift plus the exact moment of one panel: four chained prefix
 sums that add, never subtract, earlier moments, so nothing large
 cancels.  A point inside a panel adds the closed-form partial-panel
 moment.  The nonlocal constant, integral of c(s) y(s) ds, is the same
-evaluator summed over :func:`kernel.correction_rule`.  Building the
-operator does the y-independent work once (panel positions of the nodes
-and abscissae, their partial-panel moments, the correction weights); one
-application is O(n) in time and memory, so callers that apply it many
-times build it once.  Two properties follow that a plain
-sample-the-kernel-at-nodes Nystrom matrix does not give:
+evaluator summed over the context's correction rule (``ctx.taus``,
+``ctx.tau_weights``).  Building the operator does the y-independent work
+once (panel positions of the nodes and abscissae, their partial-panel
+moments) and evaluates nothing; one application is O(n) in time and
+memory, so callers that apply it many times build it once.  Two
+properties follow that a plain sample-the-kernel-at-nodes Nystrom
+matrix does not give:
 
 * the operator is exact (to roundoff) whenever y is piecewise quadratic,
   so polynomial oracle comparisons are limited only by interpolation of
@@ -38,7 +39,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernel
 from .errors import HypothesisViolation
 from .grid import GridFunction
 from .kernel import KernelContext
@@ -75,9 +75,8 @@ def operator_matrix(ctx: KernelContext, n: int) -> KernelOperator:
     """(n+1) x (n+1) operator mapping grid y-values to grid u-values.
 
     Building it does the y-independent work once: where each node and
-    each abscissa of :func:`kernel.correction_rule` falls in its panel,
-    and the rule's weights.  ``@`` then applies it in O(n) time and
-    memory; no matrix is formed.
+    each abscissa of the context's correction rule falls in its panel.
+    ``@`` then applies it in O(n) time and memory; no matrix is formed.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"operator grid needs even n >= 2, got n={n}")
@@ -90,8 +89,7 @@ def operator_matrix(ctx: KernelContext, n: int) -> KernelOperator:
         # y[2p + b]: the values of basis b on each point's panel
         return p, 2 * p + np.arange(3)[:, None], xi * d, _partial_moment3(xi), (x * d) ** 3
 
-    taus, weights = kernel.correction_rule(ctx)
-    at_nodes, at_taus = place(np.arange(n + 1) / 2.0), place(taus * panels)
+    at_nodes, at_taus = place(np.arange(n + 1) / 2.0), place(ctx.taus * panels)
 
     def matvec(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -107,7 +105,7 @@ def operator_matrix(ctx: KernelContext, n: int) -> KernelOperator:
             j3 += d**4 * np.einsum("bk,bk->k", moment3, y[panel_ends])
             return (cube * j[2, -1] - j3) / 6.0
 
-        return v(*at_nodes) + weights @ v(*at_taus)
+        return v(*at_nodes) + ctx.tau_weights @ v(*at_taus)
 
     return KernelOperator((n + 1, n + 1), matvec)
 

@@ -68,7 +68,13 @@ def integrate(
     if lo == hi:
         return 0.0
     xs = nodes(lo, hi, settings)
-    ys = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
+    return _simpson_sum(xs, fn(xs), lo, hi, settings)
+
+
+def _simpson_sum(xs: np.ndarray, ys, lo: float, hi: float, settings: QuadratureSettings) -> float:
+    """The rule's sum of samples ys at xs = nodes(lo, hi, settings); the
+    one reduction behind :func:`integrate`, for callers holding samples."""
+    ys = np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
     bad = np.flatnonzero(~np.isfinite(ys))
     if bad.size:
         x = float(xs[bad[0]])

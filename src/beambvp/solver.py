@@ -127,11 +127,6 @@ def apply_A(u: GridFunction, f: ExpressionFn, op: KernelOperator) -> GridFunctio
     return GridFunction(u.n, out)
 
 
-def residual_integral(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> float:
-    """Sup-norm fixed-point defect ||u - A u|| on the grid."""
-    return (u - apply_A(u, f, operator_matrix(ctx, u.n))).sup_norm()
-
-
 def interior_tolerance(n: int, u_norm: float) -> float:
     """Scale-aware bound for |D4 u + f(u)|.
 

@@ -221,7 +221,9 @@ def test_solve_diverged_iterate_writes_nan_column(tmp_path, capsys):
     text = "f = 50*exp(u^3)\na = t^2\ngrid_n = 100\nmax_iter = 50\n"
     out_csv = tmp_path / "u.csv"
     assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(out_csv)]) == 4
-    assert "status = diverged" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "status = diverged" in out
+    assert _summary_value(out, "oracle_agreement_sup") == "n/a"
     _, rows = read_csv(out_csv)
     assert len(rows) == 101
     assert all(row[2] == "nan" for row in rows)
@@ -245,6 +247,7 @@ def test_solve_overflow_at_initial_guess_exit(tmp_path, capsys, text):
     assert _summary_value(out, "collocation_newton_iterations") == "0"
     assert _summary_value(out, "collocation_residual") == "inf"
     assert _summary_value(out, "norm_bound_at_initial_guess") == "inf"
+    assert _summary_value(out, "oracle_agreement_sup") == "n/a"  # both kept u0
     _, rows = read_csv(out_csv)
     assert len(rows) == 41
     assert all(row[2] == "nan" for row in rows)
@@ -396,6 +399,7 @@ def test_reproduce_examples_bad_override_creates_no_dir(tmp_path, capsys):
         "verify-lemmas --grid 0",
         "verify-lemmas --grid -4",
         "verify-lemmas --grid 1",  # no node in [theta, 1 - theta]
+        "verify-lemmas --grid 2001",  # dense (grid + 1)^2 checks: a memory cliff
         "solve",
         "no-such-command",
     ],

@@ -26,7 +26,7 @@ def test_constructor_copies_input():
 
 
 def test_grid_geometry():
-    gf = GridFunction.zeros(4)
+    gf = GridFunction.constant(0.0, 4)
     assert gf.h == 0.25
     assert np.array_equal(gf.ts, [0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -39,11 +39,3 @@ def test_norms_and_flags():
 
 def test_constant():
     assert GridFunction.constant(3.0, 5).values.tolist() == [3.0] * 6
-
-
-def test_arithmetic_and_grid_mismatch():
-    a = GridFunction.constant(2.0, 10)
-    b = GridFunction.constant(0.5, 10)
-    assert (a - b).values[0] == 1.5
-    with pytest.raises(ValueError):
-        a - GridFunction.constant(1.0, 20)

@@ -12,6 +12,7 @@ from beambvp.kernel import (
     make_context,
 )
 from beambvp.linear import operator_matrix
+from beambvp.quadrature import nodes_weights
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -120,9 +121,12 @@ def test_make_context_rejects_unevaluable_weight():
 
 
 def test_modified_kernel_zero_weight_reduces_to_green():
-    # alpha = 0 is outside (H2), so this context is built directly;
-    # the correction integral vanishes and H == G
-    ctx = KernelContext(weight=parse("0", "t"), theta=0.25, alpha=0.0, beta=0.0)
+    # alpha = 0 is outside (H2), so this context and its correction rule
+    # a(tau) w / (1 - alpha) are built directly; the correction vanishes and H == G
+    weight = parse("0", "t")
+    taus, ws = nodes_weights(0.0, 1.0)
+    ctx = KernelContext(weight=weight, theta=0.25, alpha=0.0, beta=0.0,
+                        taus=taus, tau_weights=weight(taus) * ws)
     assert np.all(correction_values(ctx, GRID) == 0.0)
 
 

@@ -5,7 +5,7 @@ import scipy.integrate
 from beambvp.errors import HypothesisViolation
 from beambvp.exprlang import parse
 from beambvp.grid import GridFunction
-from beambvp.kernel import correction_rule, correction_values, make_context
+from beambvp.kernel import correction_values, make_context
 from beambvp.linear import cone_ratio, operator_matrix, polynomial_oracle, solve_linear
 from beambvp.quadrature import QuadratureSettings, grid_weights
 from beambvp.solver import _collocation_system
@@ -39,7 +39,7 @@ def random_weight_poly(rng, degree):
 
 
 def test_solve_linear_zero_load(ctx_t2):
-    u = solve_linear(GridFunction.zeros(200), ctx_t2)
+    u = solve_linear(GridFunction.constant(0.0, 200), ctx_t2)
     assert u.sup_norm() == 0.0
 
 
@@ -65,8 +65,7 @@ def test_operator_constant_term_matches_correction_values(ctx_t2):
     # abscissae, so 3-point Gauss between them is exact.
     y_coeffs = [0.5, 1.0, -0.75]
     u = operator_matrix(ctx_t2, 200) @ np.polynomial.polynomial.polyval(GRID_201, y_coeffs)
-    taus, _ = correction_rule(ctx_t2)
-    breaks = np.unique(np.concatenate(([0.0, 1.0], taus)))
+    breaks = np.unique(np.concatenate(([0.0, 1.0], ctx_t2.taus)))
     gx, gw = np.polynomial.legendre.leggauss(3)
     mid, half = (breaks[1:] + breaks[:-1]) / 2.0, np.diff(breaks) / 2.0
     ss = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
@@ -105,8 +104,7 @@ def test_operator_matches_adaptive_quadrature(n):
             green_y, 0.0, 1.0, points=points, limit=2 * len(points) + 10, epsabs=0.0, epsrel=2e-14
         )[0]
 
-    taus, weights = correction_rule(ctx)
-    constant = sum(w * v(tau) for tau, w in zip(taus, weights))
+    constant = sum(w * v(tau) for tau, w in zip(ctx.taus, ctx.tau_weights))
     rows = np.r_[0 : n + 1 : 7, n]
     expected = np.array([v(t) for t in rows / n]) + constant
     u = operator_matrix(ctx, n) @ values
@@ -195,7 +193,7 @@ def test_boundary_conditions_of_solutions(ctx_t2):
 
 
 def test_cone_ratio_zero_function(ctx_t2):
-    check = cone_ratio(GridFunction.zeros(400), ctx_t2)
+    check = cone_ratio(GridFunction.constant(0.0, 400), ctx_t2)
     assert check.satisfied
     assert check.ratio is None
     assert check.min_inner == 0.0

@@ -2,13 +2,17 @@
 helpers, ProblemFile.config and .quad, module attributes it wraps for
 timing).  This runs its traced pipelines once on a small problem so a
 change that moves one of those names fails here, not only in the
-benchmark."""
+benchmark, and runs its selftest, which checks that the benchmark's
+checkers still reject corrupted outputs."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -45,3 +49,16 @@ def test_picard_reuse_round_runs(workloads, tmp_path):
     for tracer in (None, Tracer()):
         outcome = bench.op(0, 0, tracer)
         assert bench.check(bench.case(0, 0), outcome) == []
+
+
+def test_selftest_passes():
+    # the checkers pass clean outputs and reject each corrupted canary
+    leftovers = lambda: set(ROOT.glob(".perfbench-*"))
+    before = leftovers()
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--selftest"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "selftest: PASS" in run.stdout.splitlines()
+    assert leftovers() == before  # its temporary directory is removed
