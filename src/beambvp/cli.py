@@ -181,32 +181,23 @@ def _kernel_grid_checks(thetas: Sequence[float], n: int) -> list[dict]:
     ts = np.linspace(0.0, 1.0, n + 1)
     g_mat = kernel.green_matrix(ts, ts)  # rows t, cols s
     g_env = kernel.g_weight(ts)
-    results = []
 
-    worst = int(np.argmin(g_mat))
-    wi, wj = np.unravel_index(worst, g_mat.shape)
-    value = float(g_mat[wi, wj])
-    results.append(
-        dict(check="nonnegativity", theta=None, value=value, limit=-1e-14,
-             ok=value >= -1e-14, t=float(ts[wi]), s=float(ts[wj]))
-    )
+    def worst(check, theta, gap, limit, rows):  # the minimum of gap, located
+        wi, wj = np.unravel_index(int(np.argmin(gap)), gap.shape)
+        value = float(gap[wi, wj])
+        return dict(check=check, theta=theta, value=value, limit=limit,
+                    ok=value >= limit, t=float(rows[wi]), s=float(ts[wj]))
 
+    results = [worst("nonnegativity", None, g_mat, -1e-14, ts)]
     for theta in thetas:
         inner = (ts >= theta - 1e-12) & (ts <= 1.0 - theta + 1e-12)
         if not inner.any():
             raise ProblemError(f"a {n}-interval grid has no node in [theta, 1 - theta] "
                                f"for theta = {theta}")
         block = g_mat[inner, :]
-        lower_gap = block - (theta**3) * g_env[None, :]
-        upper_gap = g_env[None, :] - block
-        for name, gap in (("lower-bound", lower_gap), ("upper-bound", upper_gap)):
-            worst = int(np.argmin(gap))
-            wi, wj = np.unravel_index(worst, gap.shape)
-            value = float(gap[wi, wj])
-            results.append(
-                dict(check=name, theta=theta, value=value, limit=-1e-12,
-                     ok=value >= -1e-12, t=float(ts[inner][wi]), s=float(ts[wj]))
-            )
+        results.append(worst("lower-bound", theta, block - (theta**3) * g_env[None, :],
+                             -1e-12, ts[inner]))
+        results.append(worst("upper-bound", theta, g_env[None, :] - block, -1e-12, ts[inner]))
 
     boundary_gap = float(np.max(np.abs(g_mat[-1, :] - g_env)))
     wj = int(np.argmax(np.abs(g_mat[-1, :] - g_env)))
@@ -238,8 +229,8 @@ def _cone_checks(thetas: Sequence[float], n: int) -> list[dict]:
         op = operator_matrix(ctx, n)
         worst_margin, worst_min, worst_case = np.inf, np.inf, -1
         for case, coeffs in enumerate(loads):
-            u = GridFunction(n, op @ np.polynomial.polynomial.polyval(
-                np.linspace(0.0, 1.0, n + 1), coeffs))
+            u = GridFunction(n, op(np.polynomial.polynomial.polyval(
+                np.linspace(0.0, 1.0, n + 1), coeffs)))
             check = cone_ratio(u, ctx)
             margin = check.min_inner - check.threshold * check.norm
             if margin < worst_margin:

@@ -124,10 +124,10 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext) -> Optional[F0Certificate]:
     epsilon is pinned at its largest admissible value 1 - alpha (this
     maximizes rho1; the criterion only needs the inequality).  rho1 is
     located by scanning a log grid up to 1e3 and bisecting the first
-    envelope crossing of f(u) = epsilon * u (a scan point where f
-    overflows counts as a crossing); the greatest certifiable radius is
-    capped at 1e3.  Returns None when the f0 estimate is not
-    approximately zero or no radius >= 1e-6 exists.
+    envelope crossing of f(u) = epsilon * u (a point of the scan or the
+    bisection where f overflows counts as a crossing); the greatest
+    certifiable radius is capped at 1e3.  Returns None when the f0
+    estimate is not approximately zero or no radius >= 1e-6 exists.
     """
     if not estimate_f0(f).is_zero():
         return None
@@ -143,7 +143,8 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext) -> Optional[F0Certificate]:
     lo, hi = float(us[first_bad - 1]), float(us[first_bad])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(mid) - epsilon * mid <= 0.0:
+        fmid, stop = _scan(f, np.array([mid]))
+        if stop == 1 and fmid[0] - epsilon * mid <= 0.0:
             lo = mid
         else:
             hi = mid
@@ -161,15 +162,15 @@ def certify_finf_zero(f: ArrayFn, ctx: KernelContext) -> Optional[FInfCertificat
     if the supremum shows no growth in the last decade it is taken as
     stable and Case 1 returns L = observed sup * (1 + 1e-6).  Otherwise
     Case 2 constants are built from the same scan with eta = 1 - alpha.
-    Returns None when f overflows anywhere on the scan.
+    Returns None when f fails to evaluate anywhere on the scan or at 0.
     """
     if not estimate_finf(f).is_zero():
         return None
     us = _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))
-    fvals, stop = _scan(f, us)
-    if stop < len(us):
-        return None  # f overflows the float range on the probe: no finite L or sigma
-    f_at_zero = f(0.0)
+    fvals, stop = _scan(f, np.concatenate(([0.0], us)))
+    if stop <= len(us):
+        return None  # f fails at 0 or overflows on the probe: no finite L or sigma
+    f_at_zero, fvals = float(fvals[0]), fvals[1:]
     sup_full = max(float(np.max(fvals)), f_at_zero)
     head = us <= BOUNDEDNESS_CAP / 10.0
     sup_head = max(float(np.max(fvals[head])), f_at_zero)

@@ -59,55 +59,41 @@ def _partial_moment3(xi: np.ndarray) -> np.ndarray:
     return np.stack([x4 / 4 - 3 * x5 / 20 + x6 / 30, x5 / 5 - x6 / 15, x6 / 30 - x5 / 20])
 
 
-@dataclass(frozen=True)
-class KernelOperator:
-    """The discrete kernel operator: ``op @ y`` maps the n + 1 grid values
-    of y to those of u."""
-
-    shape: tuple[int, int]
-    matvec: Callable[[np.ndarray], np.ndarray]
-
-    def __matmul__(self, y) -> np.ndarray:
-        return self.matvec(y)
-
-
-def operator_matrix(ctx: KernelContext, n: int) -> KernelOperator:
-    """(n+1) x (n+1) operator mapping grid y-values to grid u-values.
+def operator_matrix(ctx: KernelContext, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The (n+1) x (n+1) operator mapping grid y-values to grid u-values,
+    as its apply function ``op(y)``.
 
     Building it does the y-independent work once: where each node and
     each abscissa of the context's correction rule falls in its panel.
-    ``@`` then applies it in O(n) time and memory; no matrix is formed.
+    ``op(y)`` then applies it in O(n) time and memory; no matrix is formed.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"operator grid needs even n >= 2, got n={n}")
     panels = n // 2
     d = 1.0 / panels
+    # the n + 1 nodes, then the rule's abscissae; x = t / d, position in panel units
+    x = np.concatenate((np.arange(n + 1) / 2.0, ctx.taus * panels))
+    p = np.minimum(x.astype(int), panels - 1)
+    xi = x - p
+    panel_ends = 2 * p + np.arange(3)[:, None]  # y[2p + b]: basis b's value on each panel
+    dx, moment3, cube = xi * d, _partial_moment3(xi), (x * d) ** 3
 
-    def place(x: np.ndarray) -> tuple:  # x = t / d, position in panel units
-        p = np.minimum(x.astype(int), panels - 1)
-        xi = x - p
-        # y[2p + b]: the values of basis b on each point's panel
-        return p, 2 * p + np.arange(3)[:, None], xi * d, _partial_moment3(xi), (x * d) ** 3
-
-    at_nodes, at_taus = place(np.arange(n + 1) / 2.0), place(ctx.taus * panels)
-
-    def matvec(y: np.ndarray) -> np.ndarray:
+    def apply(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)
-        ends = np.stack([y[0:-1:2], y[1::2], y[2::2]])  # (basis, panel)
-        local = (_PANEL_MOMENTS @ ends) * d ** np.arange(1, 5)[:, None]
-        j = np.zeros((4, panels + 1))  # Jm at the panel starts 0, d, ..., 1
-        for m in range(4):
-            shift = sum(comb(m, k) * d ** (m - k) * j[k, :-1] for k in range(m))
-            j[m, 1:] = np.cumsum(local[m] + shift)
-
-        def v(p, panel_ends, dx, moment3, cube):
+        # an overflowing y gives inf or nan here; callers check finiteness
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = np.stack([y[0:-1:2], y[1::2], y[2::2]])  # (basis, panel)
+            local = (_PANEL_MOMENTS @ ends) * d ** np.arange(1, 5)[:, None]
+            j = np.zeros((4, panels + 1))  # Jm at the panel starts 0, d, ..., 1
+            for m in range(4):
+                shift = sum(comb(m, k) * d ** (m - k) * j[k, :-1] for k in range(m))
+                j[m, 1:] = np.cumsum(local[m] + shift)
             j3 = j[3][p] + dx * (3.0 * j[2][p] + dx * (3.0 * j[1][p] + dx * j[0][p]))
             j3 += d**4 * np.einsum("bk,bk->k", moment3, y[panel_ends])
-            return (cube * j[2, -1] - j3) / 6.0
+            v = (cube * j[2, -1] - j3) / 6.0
+            return v[: n + 1] + ctx.tau_weights @ v[n + 1 :]
 
-        return v(*at_nodes) + ctx.tau_weights @ v(*at_taus)
-
-    return KernelOperator((n + 1, n + 1), matvec)
+    return apply
 
 
 def solve_linear(y: GridFunction, ctx: KernelContext) -> GridFunction:
@@ -116,8 +102,7 @@ def solve_linear(y: GridFunction, ctx: KernelContext) -> GridFunction:
     Nonnegative y gives nonnegative u lying in the cone (see
     :func:`cone_ratio`); the map is linear in y.
     """
-    m = operator_matrix(ctx, y.n)
-    return GridFunction(y.n, m @ y.values)
+    return GridFunction(y.n, operator_matrix(ctx, y.n)(y.values))
 
 
 def polynomial_oracle(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import NumericError, require_nonneg
 from .exprlang import ExpressionFn, ExprEvalError
 from .grid import GridFunction, NONNEG_SLACK
 from .kernel import KernelContext, g_weight
-from .linear import ConeCheck, KernelOperator, cone_ratio, operator_matrix
+from .linear import ConeCheck, cone_ratio, operator_matrix
 
 TRIVIALITY_THRESHOLD = 1e-8
 BOUND_SLACK = 1e-10
@@ -116,12 +117,14 @@ def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
     return out
 
 
-def apply_A(u: GridFunction, f: ExpressionFn, op: KernelOperator) -> GridFunction:
+def apply_A(
+    u: GridFunction, f: ExpressionFn, op: Callable[[np.ndarray], np.ndarray]
+) -> GridFunction:
     """One application of the integral operator, with ``op`` from
     ``operator_matrix(ctx, u.n)``; output is >= 0 on the grid.  Build ``op``
     once and pass it to every application on the same grid."""
     fvals = _f_values(u, f)
-    out = op @ fvals
+    out = op(fvals)
     if not np.all(np.isfinite(out)):
         raise NumericError("operator application overflowed")
     return GridFunction(u.n, out)
@@ -209,7 +212,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
 
     try:
         fvals = _f_values(u, f)
-        res_int = float(np.max(np.abs(u.values - op @ fvals)))
+        res_int = float(np.max(np.abs(u.values - op(fvals))))
         res_ode = residual_ode(u, f, ctx)
         bound = _bound_value(u, fvals, ctx)
     except (ExprEvalError, NumericError):
@@ -290,7 +293,8 @@ def collocation_oracle(
     (up to 30 times) whenever the residual would increase; stagnation at
     an unacceptable residual is reported, not raised.  When f overflows at
     the initial guess the status is "diverged", with 0 steps and an
-    infinite residual.
+    infinite residual; when it overflows where a step probes f', the status
+    is "diverged", with the steps taken so far.
     """
     n = config.n
     h = 1.0 / n
@@ -319,7 +323,11 @@ def collocation_oracle(
         if res_norm <= floor_tol():
             status = "converged"
             break
-        step = _newton_step(u, residual, f, aw, h)
+        try:
+            step = _newton_step(u, residual, f, aw, h)
+        except ExprEvalError:  # f overflows at the probe of its derivative: no step
+            status = "diverged"
+            break
         scale = 1.0
         improved = False
         for halving in range(30):

@@ -335,6 +335,26 @@ def test_unevaluable_weight_is_h2_violation(tmp_path, capsys, command):
     assert "hypothesis H2 violated" in err and "t = 0.5" in err
 
 
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        # f(u0) ~ 1.8e308 is finite, but f overflows where Newton probes f'
+        ("solve", "f = exp(u)\na = t^2\ngrid_n = 40\nu0 = constant 709.7825\n", 4),
+        # f overflows at a midpoint of the rho1 bisection
+        ("analyze", "f = u*exp(10000*(u-705))\na = t^2\n", 0),
+        # f cannot be evaluated at u = 0
+        ("analyze", "f = 1/u\na = t^2\n", 0),
+        ("analyze", "f = exp(-1/u)\na = t^2\n", 0),
+    ],
+    ids=["solve-newton-probe", "analyze-rho1-bisection", "analyze-f-at-zero-pole",
+         "analyze-f-at-zero-exp"],
+)
+def test_failing_f_evaluation_exits_cleanly(tmp_path, capsys, command, text, code):
+    path = write_problem(tmp_path, text)
+    assert cli.main([command, path, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == ""
+
+
 def test_analyze_out_file(tmp_path, capsys):
     path = write_problem(tmp_path, "f = u*(1-exp(-u))\na = t^2\n")
     report = tmp_path / "analysis.txt"

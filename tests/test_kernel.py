@@ -165,5 +165,5 @@ def test_correction_independent_of_t(ctx_t2):
     # by one constant, whatever the load
     ctx_half = make_context(parse("1/2", "t"))
     y = 0.5 + GRID * (1.0 - GRID) + np.sin(7.0 * GRID) ** 2
-    diff = operator_matrix(ctx_t2, 200) @ y - operator_matrix(ctx_half, 200) @ y
+    diff = operator_matrix(ctx_t2, 200)(y) - operator_matrix(ctx_half, 200)(y)
     assert np.ptp(diff) < 1e-15

@@ -64,7 +64,7 @@ def test_operator_constant_term_matches_correction_values(ctx_t2):
     # y is quadratic and c is cubic between the correction rule's
     # abscissae, so 3-point Gauss between them is exact.
     y_coeffs = [0.5, 1.0, -0.75]
-    u = operator_matrix(ctx_t2, 200) @ np.polynomial.polynomial.polyval(GRID_201, y_coeffs)
+    u = operator_matrix(ctx_t2, 200)(np.polynomial.polynomial.polyval(GRID_201, y_coeffs))
     breaks = np.unique(np.concatenate(([0.0, 1.0], ctx_t2.taus)))
     gx, gw = np.polynomial.legendre.leggauss(3)
     mid, half = (breaks[1:] + breaks[:-1]) / 2.0, np.diff(breaks) / 2.0
@@ -107,7 +107,7 @@ def test_operator_matches_adaptive_quadrature(n):
     constant = sum(w * v(tau) for tau, w in zip(ctx.taus, ctx.tau_weights))
     rows = np.r_[0 : n + 1 : 7, n]
     expected = np.array([v(t) for t in rows / n]) + constant
-    u = operator_matrix(ctx, n) @ values
+    u = operator_matrix(ctx, n)(values)
     assert np.max(np.abs(u[rows] - expected) / expected) < 1e-13
 
 

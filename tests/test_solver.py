@@ -119,7 +119,7 @@ def test_weight_evaluated_once_per_operator(ctx_t2):
     assert len(calls) == 1
     calls.clear()
     op = operator_matrix(ctx, 400)  # the context carries the correction rule
-    op @ np.ones(401)
+    op(np.ones(401))
     assert len(calls) == 0
     for f, u0, iterations in ((F_ONE, 0.0, 2), (F_AFFINE, 1.0, 6)):
         calls.clear()
