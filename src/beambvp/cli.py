@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -34,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import hypotheses, kernel, solver
-from .errors import HypothesisViolation, NumericError
+from .errors import HypothesisViolation
 from .exprlang import ExpressionFn, ExprEvalError, ExprSyntaxError, parse
 from .grid import GridFunction
 from .kernel import KernelContext
@@ -281,17 +280,14 @@ def _solution_csv_rows(
     u: GridFunction, f: ExpressionFn, ctx: KernelContext
 ) -> list[list[float]]:
     n = u.n
-    try:
-        au = solver.apply_A(u, f, operator_matrix(ctx, n)).values
-    except (HypothesisViolation, NumericError, ValueError, ExprEvalError):
-        au = np.full(n + 1, np.nan)  # diverged iterates can overflow f
-    residual = np.full(n + 1, np.nan)
-    try:
-        fvals = f(np.maximum(u.values, 0.0))[2:-2]
+    au, residual = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+    try:  # diverged iterates can overflow f or A; those columns stay nan
+        fvals, au_vals, _ = solver._diagnose(u, f, ctx, operator_matrix(ctx, n))
+        au = au if au_vals is None else au_vals
         aw = solver._nonlocal_weights(ctx, n)
-        residual[2:-2] = solver._ode_defects(u, fvals, aw)[2:-2]
+        residual[2:-2] = solver._ode_defects(u, fvals[2:-2], aw)[2:-2]
     except ExprEvalError:
-        pass  # diverged iterates can overflow f; leave the column as nan
+        pass
     return np.column_stack((u.ts, u.values, au, residual)).tolist()
 
 
@@ -303,10 +299,7 @@ def _solve_problem(problem: ProblemFile, h1h2, ctx: KernelContext, u0_override: 
     report = solver.picard_solve(problem.f, ctx, config)
     colloc = solver.collocation_oracle(problem.f, ctx, config)
     agreement = float(np.max(np.abs(report.solution.values - colloc.solution.values)))
-    try:
-        bound_at_start = solver.norm_bound_check(config.initial_guess(), problem.f, ctx)
-    except (ExprEvalError, NumericError):  # f or A u0 overflows at a huge u0
-        bound_at_start = solver.BoundCheck(bound=math.inf, au_norm=math.inf, holds=False)
+    bound_at_start = solver.norm_bound_check(config.initial_guess(), problem.f, ctx)
     outcome = dict(
         h1h2=h1h2, ctx=ctx, config=config, report=report, colloc=colloc,
         agreement=agreement, bound_at_start=bound_at_start,

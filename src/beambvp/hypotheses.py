@@ -205,16 +205,16 @@ def check_h1_h2(
 ) -> H1H2Report:
     """Sampled verdicts on the two standing hypotheses.
 
-    h1: f >= 0 at 1e4 scan points of [0, 1e6] (continuity comes from the
-    expression grammar; points where f overflows the float range are
-    skipped, since overflow says magnitude, not sign).  h2: a >= 0 on
-    sampled [0, 1] and its total mass alpha lies strictly in (0, 1).
+    h1: f is defined at u = 0 and f >= 0 at 1e4 scan points of [0, 1e6]
+    (continuity comes from the expression grammar; other points where f
+    overflows are skipped, since overflow says magnitude, not sign).
+    h2: a >= 0 on sampled [0, 1] and its total mass alpha lies in (0, 1).
     """
-    # NaN where f overflowed: those points are skipped
+    # NaN where f failed: fatal at u = 0, skipped elsewhere
     fvals, _ = _scan(f, np.concatenate(([0.0], _scan_grid(-9.0, 6.0))))
     _, a_vals, _, alpha = kernel._weight_samples(a, quad)
     h2 = bool(np.all(a_vals >= 0.0)) and 0.0 < alpha < 1.0
-    return H1H2Report(h1=not np.any(fvals < 0.0), h2=h2, alpha=alpha)
+    return H1H2Report(h1=bool(fvals[0] >= 0.0) and not np.any(fvals < 0.0), h2=h2, alpha=alpha)
 
 
 @dataclass(frozen=True)

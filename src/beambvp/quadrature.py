@@ -1,10 +1,10 @@
 """Composite Simpson quadrature over [lo, hi] and on the uniform grid.
 
-Every integral in the package (boundary-weight masses, kernel corrections,
-operator applications, residuals) flows through this module so one
-settings object controls global accuracy.  The rule is composite Simpson
-with 200 panels by default, which is exact for cubics per panel and ample
-for every tolerance used by the test suite.
+``QuadratureSettings`` sets only the rule for alpha, beta and the nonlocal
+correction (composite Simpson, 200 panels by default, exact for cubics per
+panel); it is not a global accuracy setting.  The kernel operator integrates
+its load's piecewise-quadratic interpolant exactly against G (``linear``),
+and the residuals and the norm bound use ``grid_weights``, set by n alone.
 """
 
 from __future__ import annotations

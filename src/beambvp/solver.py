@@ -171,17 +171,24 @@ def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeRes
     return OdeResidual(interior=float(np.max(rows[2:-2])), bc=float(np.max(rows[[0, 1, -2, -1]])))
 
 
-def _bound_value(u: GridFunction, fvals: np.ndarray, ctx: KernelContext) -> float:
-    """(1/(1-alpha)) * integral of g(s) f(u(s)) ds by grid quadrature."""
+def _diagnose(u: GridFunction, f: ExpressionFn, ctx: KernelContext, op: Callable) -> tuple:
+    """(f(u), A u by ``op`` or None where it overflows, the bound (1/(1-alpha))
+    * integral of g f(u) by grid quadrature) from one evaluation of f at the
+    iterate u; raises :class:`ExprEvalError` where f itself fails."""
+    fvals = _f_values(u, f)
+    au = op(fvals)
     gf = np.dot(quadrature.grid_weights(u.n), g_weight(u.ts) * fvals)
-    return float(gf) / (1.0 - ctx.alpha)
+    return fvals, au if np.all(np.isfinite(au)) else None, float(gf) / (1.0 - ctx.alpha)
 
 
 def norm_bound_check(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> BoundCheck:
-    """Check ||A u|| <= (1/(1-alpha)) * integral of g f(u), with 1e-10 slack."""
-    fvals = _f_values(u, f)
-    bound = _bound_value(u, fvals, ctx)
-    au_norm = apply_A(u, f, operator_matrix(ctx, u.n)).sup_norm()
+    """Check ||A u|| <= (1/(1-alpha)) * integral of g f(u), with 1e-10 slack; an
+    overflow of A u fails it with au_norm inf, a failure of f with every field inf."""
+    try:
+        _, au, bound = _diagnose(u, f, ctx, operator_matrix(ctx, u.n))
+    except ExprEvalError:
+        return BoundCheck(bound=math.inf, au_norm=math.inf, holds=False)
+    au_norm = math.inf if au is None else float(np.max(np.abs(au)))
     return BoundCheck(bound=bound, au_norm=au_norm, holds=au_norm <= bound + BOUND_SLACK)
 
 
@@ -191,7 +198,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
     Non-convergence within max_iter is reported via ``status``
     ("max_iter"); overflow or NaN during iteration yields "diverged" with
     the last finite iterate.  Diagnostics are computed on the returned
-    iterate either way.
+    iterate either way; those that f or A overflows read inf.
     """
     op = operator_matrix(ctx, config.n)
     u = config.initial_guess()
@@ -211,11 +218,10 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
             break
 
     try:
-        fvals = _f_values(u, f)
-        res_int = float(np.max(np.abs(u.values - op(fvals))))
+        _, au, bound = _diagnose(u, f, ctx, op)
+        res_int = math.inf if au is None else float(np.max(np.abs(u.values - au)))
         res_ode = residual_ode(u, f, ctx)
-        bound = _bound_value(u, fvals, ctx)
-    except (ExprEvalError, NumericError):
+    except ExprEvalError:
         res_int, res_ode, bound = math.inf, OdeResidual(math.inf, math.inf), math.inf
     return SolveReport(
         solution=u,

@@ -6,6 +6,7 @@ import pytest
 import scipy.optimize
 
 from beambvp import cli
+from beambvp.grid import GridFunction
 
 PROBE = """\
 # cross-oracle probe
@@ -342,9 +343,9 @@ def test_unevaluable_weight_is_h2_violation(tmp_path, capsys, command):
         ("solve", "f = exp(u)\na = t^2\ngrid_n = 40\nu0 = constant 709.7825\n", 4),
         # f overflows at a midpoint of the rho1 bisection
         ("analyze", "f = u*exp(10000*(u-705))\na = t^2\n", 0),
-        # f cannot be evaluated at u = 0
-        ("analyze", "f = 1/u\na = t^2\n", 0),
-        ("analyze", "f = exp(-1/u)\na = t^2\n", 0),
+        # f cannot be evaluated at u = 0: H1 fails
+        ("analyze", "f = 1/u\na = t^2\n", 2),
+        ("analyze", "f = exp(-1/u)\na = t^2\n", 2),
     ],
     ids=["solve-newton-probe", "analyze-rho1-bisection", "analyze-f-at-zero-pole",
          "analyze-f-at-zero-exp"],
@@ -353,6 +354,39 @@ def test_failing_f_evaluation_exits_cleanly(tmp_path, capsys, command, text, cod
     path = write_problem(tmp_path, text)
     assert cli.main([command, path, "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+@pytest.mark.parametrize("f", ["1/u", "exp(-1/u)"])
+def test_f_undefined_at_zero_fails_h1(tmp_path, capsys, command, f):
+    path = write_problem(tmp_path, f"f = {f}\na = t^2\n")
+    assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "hypothesis_h1 = false" in captured.out and captured.err == ""
+
+
+def test_solve_overflow_of_A_only_at_initial_guess(tmp_path, capsys):
+    # f(u0) ~ 1.8e308 is finite, its bound too; A u0 and the final residual overflow
+    text = "f = exp(u)\na = t^2\ngrid_n = 40\nu0 = constant 709.7825\n"
+    out_csv = tmp_path / "u.csv"
+    assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(out_csv)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _summary_value(captured.out, "residual_integral") == "inf"
+    assert math.isfinite(float(_summary_value(captured.out, "norm_bound_at_initial_guess")))
+    _, rows = read_csv(out_csv)
+    assert all(row[2] == "nan" for row in rows)
+
+
+def test_solution_csv_rows_evaluate_f_once(ctx_t2):
+    calls = []
+
+    def counting_f(us):
+        calls.append(us)
+        return us + 1.0
+
+    rows = cli._solution_csv_rows(GridFunction.constant(1.0, 40), counting_f, ctx_t2)
+    assert len(rows) == 41 and len(calls) == 1
 
 
 def test_analyze_out_file(tmp_path, capsys):

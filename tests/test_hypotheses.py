@@ -161,7 +161,9 @@ def test_h1_h2_for_example_data():
 
 
 def test_h1_fails_for_negative_f():
-    assert not check_h1_h2(parse("u-1", "u"), A_QUADRATIC).h1
+    # 1/u: f is not defined on all of [0, inf)
+    for text in ("u-1", "1/u"):
+        assert not check_h1_h2(parse(text, "u"), A_QUADRATIC).h1
 
 
 def test_h2_fails_for_unit_mass():

@@ -11,6 +11,7 @@ from beambvp.kernel import make_context
 from beambvp.linear import cone_ratio, operator_matrix
 from beambvp import quadrature
 from beambvp.solver import (
+    BoundCheck,
     SolveConfig,
     _collocation_system,
     _f_derivative,
@@ -339,6 +340,30 @@ def test_norm_bound_random_quadratic(ctx_t2):
     for _ in range(20):
         u = GridFunction(400, rng.uniform(0.0, 1.0, 401))
         assert norm_bound_check(u, f, ctx_t2).holds
+
+
+def test_norm_bound_evaluates_f_once(ctx_t2):
+    calls = []
+
+    def counting_f(us):
+        calls.append(us)
+        return us + 1.0
+
+    assert norm_bound_check(GridFunction.constant(1.0, 40), counting_f, ctx_t2).holds
+    assert len(calls) == 1
+
+
+def test_norm_bound_fails_when_f_overflows(ctx_t2):
+    u = GridFunction.constant(800.0, 40)
+    check = norm_bound_check(u, parse("0.001*exp(u)", "u"), ctx_t2)
+    assert check == BoundCheck(bound=math.inf, au_norm=math.inf, holds=False)
+
+
+def test_norm_bound_fails_when_only_A_overflows(ctx_t2):
+    # f(u) ~ 1.8e308 is finite, and so is its g-weighted integral
+    check = norm_bound_check(GridFunction.constant(709.7825, 40), parse("exp(u)", "u"), ctx_t2)
+    assert math.isfinite(check.bound)
+    assert check.au_norm == math.inf and not check.holds
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.25, 0.4])
