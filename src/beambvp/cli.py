@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -163,6 +164,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _check_output_paths(*paths: Optional[str]) -> None:
+    """Fail before any work when an output's directory is missing or not writable."""
+    for path in paths:
+        if path:
+            parent = Path(path).parent
+            if not (parent.is_dir() and os.access(parent, os.W_OK)):
+                raise OSError(f"{path}: {parent} is not a writable directory")
+
+
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
     """Write float rows, every cell with 17 significant digits."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
@@ -247,6 +257,7 @@ def _cone_checks(thetas: Sequence[float], n: int) -> list[dict]:
 
 
 def cmd_verify_lemmas(args) -> int:
+    _check_output_paths(args.report)
     thetas = args.theta or list(_DEFAULT_THETAS)
     results = _kernel_grid_checks(thetas, args.grid)
     results += _cone_checks(thetas, min(args.grid * 2, 400))
@@ -359,10 +370,11 @@ def _print_solve_summary(problem: ProblemFile, outcome: dict) -> None:
 
 
 def cmd_solve(args) -> int:
+    out_path = args.out or (Path(args.file).stem + ".solution.csv")
+    _check_output_paths(out_path, args.plot_data)
     problem = load_problem(args.file)
     h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
     ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
-    out_path = args.out or (Path(args.file).stem + ".solution.csv")
     return _solve_problem(problem, h1h2, ctx, args.u0, out_path, args.plot_data)[1]
 
 
@@ -421,6 +433,7 @@ def _analyze_problem(problem: ProblemFile, out_path: Optional[str] = None):
 
 
 def cmd_analyze(args) -> int:
+    _check_output_paths(args.out)
     h1h2, ctx, _ = _analyze_problem(load_problem(args.file), args.out)
     return EXIT_OK if ctx is not None and h1h2.h1 else EXIT_HYPOTHESIS
 

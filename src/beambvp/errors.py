@@ -26,7 +26,7 @@ class NumericError(RuntimeError):
 
 def require_nonneg(which: str, name: str, xs: np.ndarray, values: np.ndarray) -> None:
     """Raise :class:`HypothesisViolation` naming the first negative sample."""
-    negative = np.flatnonzero(values < 0.0)
-    if negative.size:
-        i = negative[0]
+    negative = values < 0.0
+    if negative.any():
+        i = np.flatnonzero(negative)[0]
         raise HypothesisViolation(which, f"{name}({float(xs[i])}) = {float(values[i])} < 0")

@@ -267,6 +267,13 @@ class ExpressionFn:
     by exactly 0.0, a non-finite result of ``+ - * /`` or ``^``, or an
     ``exp`` overflow.  Trees are immutable and evaluation is pure, so
     instances may be shared across threads.
+
+    Failure masks are built only after a floating-point flag: a call with
+    finite inputs first walks the tree with numpy raising on overflow,
+    divide and invalid (the only ways finite operands reach a non-finite
+    result), and only when one is raised walks it again with a mask at
+    every check, which finds the failing element.  Both walks do the same
+    arithmetic, so results do not depend on which one ran.
     """
 
     source: str
@@ -275,6 +282,28 @@ class ExpressionFn:
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
+        values = None
+        if np.isfinite(xs).all():
+            # with finite operands, IEEE arithmetic reaches a non-finite
+            # result only by raising overflow, divide or invalid
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    values = _eval(self.ast, xs, None)
+            except FloatingPointError:
+                pass  # some element may fail: the masked walk decides
+        if values is None:
+            values = self._masked_eval(xs)
+        if xs.ndim == 0:
+            return float(values)
+        if isinstance(values, np.ndarray) and values is not xs:
+            return values  # a ufunc's output: a fresh array of x's shape
+        out = np.empty(xs.shape)  # a constant, or x itself: the caller gets a fresh array
+        out[...] = values
+        return out
+
+    def _masked_eval(self, xs: np.ndarray):
+        """The walk with a failure mask at every check; raises
+        :class:`ExprEvalError` at the first failing element."""
         first = np.full(xs.shape, -1)  # per element: index of its first failure
         failures: list[tuple[str, int]] = []
 
@@ -284,13 +313,14 @@ class ExpressionFn:
                 failures.append((message, pos))
 
         with np.errstate(all="ignore"):
-            values = np.array(np.broadcast_to(_eval(self.ast, xs, fail), xs.shape))
+            values = _eval(self.ast, xs, fail)
         if failures:
+            values = np.array(np.broadcast_to(values, xs.shape))
             index = int(np.argmax(first.ravel() >= 0))
             values[first >= 0] = np.nan
             message, pos = failures[first.ravel()[index]]
             raise ExprEvalError(message, pos, index, float(xs.ravel()[index]), values)
-        return float(values) if xs.ndim == 0 else values
+        return values
 
     def pretty(self) -> str:
         """Fully parenthesized source form; reparses to an identical tree."""
@@ -319,7 +349,7 @@ _BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 def _eval(node: Node, x: np.ndarray, fail):
     """Post-order walk, so ``fail`` sees each element's checks in the order
-    a one-point evaluation meets them."""
+    a one-point evaluation meets them; with ``fail=None`` no check runs."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -329,19 +359,22 @@ def _eval(node: Node, x: np.ndarray, fail):
     if isinstance(node, Call):
         arg = _eval(node.arg, x, fail)
         value = np.exp(arg)
-        fail(np.isinf(value) & np.isfinite(arg), "overflow in exp", node.pos)
+        if fail:
+            fail(np.isinf(value) & np.isfinite(arg), "overflow in exp", node.pos)
         return value
     if isinstance(node, Power):
         base = _eval(node.base, x, fail)
         value = np.power(base, float(node.exponent))
-        fail(~np.isfinite(value) & np.isfinite(base), "overflow in power", node.pos)
+        if fail:
+            fail(~np.isfinite(value) & np.isfinite(base), "overflow in power", node.pos)
     else:
         left = _eval(node.left, x, fail)
         right = _eval(node.right, x, fail)
-        if node.op == "/":
+        if fail and node.op == "/":
             fail(right == 0.0, "division by zero", node.pos)
         value = _BINOPS[node.op](left, right)
-    fail(~np.isfinite(value), "overflow", node.pos)
+    if fail:
+        fail(~np.isfinite(value), "overflow", node.pos)
     return value
 
 

@@ -22,7 +22,7 @@ class GridFunction:
         values = np.array(self.values, dtype=float)  # copy: callers keep their arrays
         if values.shape != (self.n + 1,):
             raise ValueError(f"expected {self.n + 1} values, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             bad = int(np.argmax(~np.isfinite(values)))
             raise ValueError(f"non-finite value at t = {bad / self.n}")
         values.flags.writeable = False
@@ -41,7 +41,7 @@ class GridFunction:
         return np.linspace(0.0, 1.0, self.n + 1)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
     def min(self) -> float:
-        return float(np.min(self.values))
+        return float(self.values.min())

@@ -12,13 +12,16 @@ diagonal, so
 Jm at the panel starts follows from J0..Jm at the previous start by a
 binomial shift plus the exact moment of one panel: four chained prefix
 sums that add, never subtract, earlier moments, so nothing large
-cancels.  A point inside a panel adds the closed-form partial-panel
-moment.  The nonlocal constant, integral of c(s) y(s) ds, is the same
-evaluator summed over the context's correction rule (``ctx.taus``,
+cancels.  The even nodes 0, 2, ..., n - 2 are panel starts and read J3
+there; a point inside a panel (an odd node, node n, an abscissa of the
+correction rule) adds the closed-form partial-panel moment.  The
+nonlocal constant, integral of c(s) y(s) ds, is the same evaluator
+summed over the context's correction rule (``ctx.taus``,
 ``ctx.tau_weights``).  Building the operator does the y-independent work
-once (panel positions of the nodes and abscissae, their partial-panel
-moments) and evaluates nothing; one application is O(n) in time and
-memory, so callers that apply it many times build it once.  Two
+once (panel positions of the in-panel points, their partial-panel
+moments, the binomial shift coefficients and powers of the panel width)
+and evaluates nothing; one application is O(n) in time and memory, so
+callers that apply it many times build it once.  Two
 properties follow that a plain sample-the-kernel-at-nodes Nystrom
 matrix does not give:
 
@@ -63,35 +66,49 @@ def operator_matrix(ctx: KernelContext, n: int) -> Callable[[np.ndarray], np.nda
     """The (n+1) x (n+1) operator mapping grid y-values to grid u-values,
     as its apply function ``op(y)``.
 
-    Building it does the y-independent work once: where each node and
-    each abscissa of the context's correction rule falls in its panel.
-    ``op(y)`` then applies it in O(n) time and memory; no matrix is formed.
+    Building it does the y-independent work once: where each odd node,
+    node n and each abscissa of the context's correction rule falls in
+    its panel (the even nodes are panel starts).  ``op(y)`` then applies
+    it in O(n) time and memory; no matrix is formed.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"operator grid needs even n >= 2, got n={n}")
     panels = n // 2
     d = 1.0 / panels
-    # the n + 1 nodes, then the rule's abscissae; x = t / d, position in panel units
-    x = np.concatenate((np.arange(n + 1) / 2.0, ctx.taus * panels))
+    # x = t / d, in panel units, of the points inside a panel: the odd nodes,
+    # node n, then the rule's abscissae (the even nodes read J3 at panel starts)
+    x = np.concatenate((np.arange(1, n + 1, 2) / 2.0, [float(panels)], ctx.taus * panels))
     p = np.minimum(x.astype(int), panels - 1)
     xi = x - p
     panel_ends = 2 * p + np.arange(3)[:, None]  # y[2p + b]: basis b's value on each panel
     dx, moment3, cube = xi * d, _partial_moment3(xi), (x * d) ** 3
+    start_cube = (np.arange(panels) * d) ** 3
+    local_scale = d ** np.arange(1, 5)[:, None]
+    shift_coeffs = [[comb(m, k) * d ** (m - k) for k in range(m)] for m in range(4)]
+    d4 = d**4
 
     def apply(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)
         # an overflowing y gives inf or nan here; callers check finiteness
         with np.errstate(over="ignore", invalid="ignore"):
             ends = np.stack([y[0:-1:2], y[1::2], y[2::2]])  # (basis, panel)
-            local = (_PANEL_MOMENTS @ ends) * d ** np.arange(1, 5)[:, None]
             j = np.zeros((4, panels + 1))  # Jm at the panel starts 0, d, ..., 1
-            for m in range(4):
-                shift = sum(comb(m, k) * d ** (m - k) * j[k, :-1] for k in range(m))
-                j[m, 1:] = np.cumsum(local[m] + shift)
-            j3 = j[3][p] + dx * (3.0 * j[2][p] + dx * (3.0 * j[1][p] + dx * j[0][p]))
-            j3 += d**4 * np.einsum("bk,bk->k", moment3, y[panel_ends])
+            np.multiply(_PANEL_MOMENTS @ ends, local_scale, out=j[:, 1:])
+            for m, coeffs in enumerate(shift_coeffs):
+                if coeffs:
+                    terms = [c * j[k, :-1] for k, c in enumerate(coeffs)]
+                    j[m, 1:] += sum(terms[1:], terms[0])
+                # summed from the leading 0, a -0.0 term adds what +0.0 would
+                np.add.accumulate(j[m], out=j[m])
+            j0, j1, j2, j3 = (row.take(p) for row in j)
+            j3 = j3 + dx * (3.0 * j2 + dx * (3.0 * j1 + dx * j0))
+            j3 += d4 * np.einsum("bk,bk->k", moment3, y.take(panel_ends))
             v = (cube * j[2, -1] - j3) / 6.0
-            return v[: n + 1] + ctx.tau_weights @ v[n + 1 :]
+            u = np.empty(n + 1)
+            u[0:n:2] = (start_cube * j[2, -1] - j[3, :-1]) / 6.0
+            u[1::2] = v[:panels]
+            u[n] = v[panels]
+            return u + ctx.tau_weights @ v[panels + 1 :]
 
     return apply
 

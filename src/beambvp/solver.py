@@ -9,8 +9,9 @@ with H from the kernel module; u solves the beam problem iff u = A u.
 ``picard_solve`` iterates u <- A u and reports what happened;
 convergence is not guaranteed in general and non-convergence is a report
 status, not an error.  Since f(0) = 0 makes u = 0 a fixed point, reports
-carry a ``trivial`` flag (sup-norm below 1e-8) so a collapse to zero is
-never presented as a positive solution.
+carry a ``trivial`` flag (sup-norm below 1e-8, and not diverged: the last
+finite iterate of a diverged run is no fixed point) so a collapse to zero
+is never presented as a positive solution.
 
 ``collocation_oracle`` solves the differential form directly -- banded
 fourth-difference rows, one-sided boundary stencils, one dense row for
@@ -125,7 +126,7 @@ def apply_A(
     once and pass it to every application on the same grid."""
     fvals = _f_values(u, f)
     out = op(fvals)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError("operator application overflowed")
     return GridFunction(u.n, out)
 
@@ -210,7 +211,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
         except (ExprEvalError, NumericError):
             status = "diverged"
             break
-        delta = float(np.max(np.abs(au.values - u.values)))
+        delta = float(np.abs(au.values - u.values).max())
         deltas.append(delta)
         u = au
         if delta < config.tol:
@@ -230,7 +231,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
         residual_integral=res_int,
         residual_ode=res_ode,
         cone=cone_ratio(u, ctx),
-        trivial=u.sup_norm() < TRIVIALITY_THRESHOLD,
+        trivial=status != "diverged" and u.sup_norm() < TRIVIALITY_THRESHOLD,
         norm_bound=bound,
         status=status,
     )

@@ -491,6 +491,8 @@ def test_grid_self_consistency(tmp_path, capsys):
     "argv",
     [
         ["solve", "{problem}", "--out", "{bad}"],
+        pytest.param(["solve", "{problem}", "--out", "{ok}", "--plot-data", "{bad}"],
+                     id="solve-plot-data"),
         ["analyze", "{problem}", "--out", "{bad}"],
         ["verify-lemmas", "--grid", "20", "--report", "{bad}"],
         ["reproduce-examples", "--grid", "40", "--out-dir", "{bad}"],
@@ -498,10 +500,14 @@ def test_grid_self_consistency(tmp_path, capsys):
     ids=lambda argv: argv[0],
 )
 def test_unwritable_output_path_exit(tmp_path, capsys, argv):
-    # the path lies under a regular file, so it can be neither created nor opened
+    # the path lies under a regular file, so it can be neither created nor opened;
+    # the command finds that out before any work, so stdout holds no report
     (tmp_path / "file").write_text("")
-    names = dict(problem=write_problem(tmp_path, PROBE), bad=str(tmp_path / "file" / "x"))
+    names = dict(problem=write_problem(tmp_path, PROBE), bad=str(tmp_path / "file" / "x"),
+                 ok=str(tmp_path / "ok.csv"))
     assert cli.main([arg.format(**names) for arg in argv]) == 3
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case.problem", "file"]

@@ -417,3 +417,66 @@ def test_array_error_carries_first_failure():
 def test_constant_expression_keeps_array_shape():
     out = parse("3*2")(np.zeros((2, 3)))
     assert out.shape == (2, 3) and (out == 6.0).all()
+
+
+# --- the flag-gated call against the masked walk -----------------------------
+
+
+def masked_call(fn, xs):
+    """The walk with a failure mask at every check, whatever the input."""
+    return np.array(np.broadcast_to(fn._masked_eval(xs), xs.shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions(), abscissae)
+@example("1/u", SPECIAL_POINTS)
+@example("(u^3)/((u-1)^2)", SPECIAL_POINTS)
+@example("exp(u)*exp(u)-u", SPECIAL_POINTS)
+@example("exp(-u)/(u-1)", SPECIAL_POINTS)
+def test_flag_gated_call_matches_masked_walk(src, points):
+    fn = parse(src)
+    for xs in (np.array(points), np.array(points[0])):
+        try:
+            expected = masked_call(fn, xs)
+        except ExprEvalError as exc:
+            with pytest.raises(ExprEvalError) as info:
+                fn(xs)
+            got = info.value
+            assert (str(got), got.offset, got.index, got.x) == (str(exc), exc.offset, exc.index, exc.x)
+            assert np.array_equal(np.isnan(got.values), np.isnan(exc.values))
+        else:
+            got = np.asarray(fn(xs))
+            assert got.shape == xs.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def _with_bad_element(size, first, bad):
+    values = np.full(size, 1.0)
+    values[0 if first else -1] = bad
+    return values
+
+
+# each must raise FloatingPointError under the fast path's errstate, wherever
+# the failing element sits: in a vector body or in a loop's scalar tail
+FLAGGED = {
+    "exp overflow": lambda v: np.exp(_with_bad_element(*v, 710.0)),
+    "power overflow": lambda v: np.power(_with_bad_element(*v, 1e10), 200.0),
+    "x/0": lambda v: np.divide(2.0, _with_bad_element(*v, 0.0)),
+    "0/0": lambda v: np.divide(*(2 * [_with_bad_element(*v, 0.0)])),
+    "product overflow": lambda v: np.multiply(*(2 * [_with_bad_element(*v, 1e200)])),
+}
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+@pytest.mark.parametrize("size", [1, 7, 64, 1001])
+@pytest.mark.parametrize("case", sorted(FLAGGED))
+def test_fast_path_flag_contract(case, size, first):
+    with np.errstate(all="raise", under="ignore"), pytest.raises(FloatingPointError):
+        FLAGGED[case]((size, first))
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1001])
+def test_fast_path_ignores_exp_underflow(size):
+    with np.errstate(all="raise", under="ignore"):
+        values = np.exp(_with_bad_element(size, False, -800.0))
+    assert values[-1] == 0.0

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -6,7 +8,14 @@ from beambvp.errors import HypothesisViolation
 from beambvp.exprlang import parse
 from beambvp.grid import GridFunction
 from beambvp.kernel import correction_values, make_context
-from beambvp.linear import cone_ratio, operator_matrix, polynomial_oracle, solve_linear
+from beambvp.linear import (
+    _PANEL_MOMENTS,
+    _partial_moment3,
+    cone_ratio,
+    operator_matrix,
+    polynomial_oracle,
+    solve_linear,
+)
 from beambvp.quadrature import QuadratureSettings, grid_weights
 from beambvp.solver import _collocation_system
 
@@ -109,6 +118,58 @@ def test_operator_matches_adaptive_quadrature(n):
     expected = np.array([v(t) for t in rows / n]) + constant
     u = operator_matrix(ctx, n)(values)
     assert np.max(np.abs(u[rows] - expected) / expected) < 1e-13
+
+
+def reference_operator(ctx, n):
+    """The apply that evaluated every node and abscissa by the in-panel
+    formula, kept as the bit-level reference for ``operator_matrix``."""
+    panels = n // 2
+    d = 1.0 / panels
+    x = np.concatenate((np.arange(n + 1) / 2.0, ctx.taus * panels))
+    p = np.minimum(x.astype(int), panels - 1)
+    xi = x - p
+    panel_ends = 2 * p + np.arange(3)[:, None]
+    dx, moment3, cube = xi * d, _partial_moment3(xi), (x * d) ** 3
+
+    def apply(y):
+        y = np.asarray(y, dtype=float).reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = np.stack([y[0:-1:2], y[1::2], y[2::2]])
+            local = (_PANEL_MOMENTS @ ends) * d ** np.arange(1, 5)[:, None]
+            j = np.zeros((4, panels + 1))
+            for m in range(4):
+                shift = sum(comb(m, k) * d ** (m - k) * j[k, :-1] for k in range(m))
+                j[m, 1:] = np.cumsum(local[m] + shift)
+            j3 = j[3][p] + dx * (3.0 * j[2][p] + dx * (3.0 * j[1][p] + dx * j[0][p]))
+            j3 += d**4 * np.einsum("bk,bk->k", moment3, y[panel_ends])
+            v = (cube * j[2, -1] - j3) / 6.0
+            return v[: n + 1] + ctx.tau_weights @ v[n + 1 :]
+
+    return apply
+
+
+def _reference_loads(n):
+    rng = np.random.default_rng(n)
+    signed = 10.0 ** rng.uniform(-5.0, 5.0, n + 1)
+    signed[rng.integers(0, n + 1, n // 4)] = -0.0
+    yield from (10.0 ** rng.uniform(-5.0, 5.0, n + 1) for _ in range(4))
+    yield np.zeros(n + 1)
+    yield np.full(n + 1, -0.0)
+    yield signed
+    yield np.where(rng.random(n + 1) < 0.5, 5e-324, -0.0)  # subnormal panel moments
+
+
+@pytest.mark.parametrize("quad_panels", [1, 7, 200])
+@pytest.mark.parametrize("n", [20, 22, 800, 3200])
+def test_operator_bit_identical_to_reference(n, quad_panels):
+    ctx = make_context(parse("0.9*t^2", "t"), quad=QuadratureSettings(panels=quad_panels))
+    op, ref = operator_matrix(ctx, n), reference_operator(ctx, n)
+    for y in _reference_loads(n):
+        assert np.array_equal(op(y).view(np.int64), ref(y).view(np.int64))
+    overflowing = np.full(n + 1, np.finfo(float).max)
+    expected = np.isfinite(ref(overflowing))
+    assert not expected.all()
+    assert np.array_equal(np.isfinite(op(overflowing)), expected)
 
 
 def test_operator_matrix_needs_even_grid(ctx_t2):

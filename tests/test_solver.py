@@ -142,6 +142,14 @@ def test_picard_reports_divergence(ctx_t2):
     assert np.all(np.isfinite(report.solution.values))
 
 
+def test_diverged_run_is_not_trivial(ctx_t2):
+    # f(0) is undefined, so Picard diverges at its first step and returns
+    # u0 = 0, which is below the triviality threshold but no fixed point
+    report = picard_solve(parse("1/u", "u"), ctx_t2, SolveConfig(n=40))
+    assert report.status == "diverged" and report.solution.sup_norm() == 0.0
+    assert not report.trivial
+
+
 def test_report_invariants(ctx_t2):
     for f, u0 in ((F_ONE, 0.0), (F_AFFINE, 0.0), (F_SATURATING, 1.0)):
         report = picard_solve(f, ctx_t2, SolveConfig(n=400, u0=u0))
