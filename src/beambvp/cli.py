@@ -165,12 +165,13 @@ def _fmt(x) -> str:
 
 
 def _check_output_paths(*paths: Optional[str]) -> None:
-    """Fail before any work when an output's directory is missing or not writable."""
-    for path in paths:
-        if path:
-            parent = Path(path).parent
-            if not (parent.is_dir() and os.access(parent, os.W_OK)):
-                raise OSError(f"{path}: {parent} is not a writable directory")
+    """Fail before any work when an output is a directory or lies in no writable one."""
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise OSError(f"{path}: {parent} is not a writable directory")
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:

@@ -212,8 +212,10 @@ def check_h1_h2(
     """
     # NaN where f failed: fatal at u = 0, skipped elsewhere
     fvals, _ = _scan(f, np.concatenate(([0.0], _scan_grid(-9.0, 6.0))))
-    _, a_vals, _, alpha = kernel._weight_samples(a, quad)
-    h2 = bool(np.all(a_vals >= 0.0)) and 0.0 < alpha < 1.0
+    taus = quadrature.nodes(0.0, 1.0, quad)
+    a_vals, a_taus = kernel.sample_weight(a, kernel.H2_POINTS, taus, nonneg=False)
+    alpha = quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)
+    h2 = bool(np.all(a_vals >= 0.0) and np.all(a_taus >= 0.0)) and 0.0 < alpha < 1.0
     return H1H2Report(h1=bool(fvals[0] >= 0.0) and not np.any(fvals < 0.0), h2=h2, alpha=alpha)
 
 

@@ -35,6 +35,7 @@ from .exprlang import ExpressionFn, ExprEvalError
 from .quadrature import QuadratureSettings
 
 DEFAULT_THETA = 0.25
+H2_POINTS = np.linspace(0.0, 1.0, 1001)  # uniform points where (H2) samples a
 
 _ArrayLike = Union[float, np.ndarray]
 
@@ -72,7 +73,7 @@ def _check_unit(x: _ArrayLike, name: str):
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Boundary weight a(t) with its derived constants and quadrature choice.
+    """Boundary weight a(t) with its derived constants.
 
     Assembled by :func:`make_context`, which enforces (H2): a >= 0 on the
     sampled interval and 0 < alpha < 1.  Instances are immutable.
@@ -91,25 +92,25 @@ class KernelContext:
     beta: float
     taus: np.ndarray = field(repr=False, compare=False)
     tau_weights: np.ndarray = field(repr=False, compare=False)
-    quad: QuadratureSettings = field(default=quadrature.DEFAULT_SETTINGS)
 
     @property
     def cone_constant(self) -> float:
         return self.theta**3 * (1.0 - self.alpha + self.beta)
 
 
-def _weight_samples(weight: ExpressionFn, quad: QuadratureSettings) -> tuple:
-    """(ts, a(ts), a(taus), alpha) from one evaluation of the weight: the
-    H2 sample set ts, 1001 uniform points plus the quadrature abscissae
-    taus on [0, 1], and the weight's mass over [0, 1] by the rule."""
-    taus = quadrature.nodes(0.0, 1.0, quad)
-    ts, at = np.unique(np.concatenate((np.linspace(0.0, 1.0, 1001), taus)), return_inverse=True)
+def sample_weight(weight: ExpressionFn, *point_sets: np.ndarray, nonneg: bool = True) -> list:
+    """a on each of ``point_sets`` from one evaluation on their sorted union,
+    the one place the package evaluates a.  (H2) holds a finite there and,
+    with ``nonneg``, >= 0; a point that breaks the rule raises
+    :class:`HypothesisViolation` naming the smallest such t."""
+    ts, inverse = np.unique(np.concatenate(point_sets), return_inverse=True)
     try:
         a_vals = weight(ts)
     except ExprEvalError as exc:
         raise HypothesisViolation("H2", f"a cannot be evaluated at t = {exc.x}: {exc}") from exc
-    a_taus = a_vals[at[1001:]]
-    return ts, a_vals, a_taus, quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)
+    if nonneg:
+        require_nonneg("H2", "a", ts, a_vals)
+    return np.split(a_vals[inverse], np.cumsum([len(p) for p in point_sets[:-1]]))
 
 
 def make_context(
@@ -118,26 +119,26 @@ def make_context(
     quad: QuadratureSettings = quadrature.DEFAULT_SETTINGS,
 ) -> KernelContext:
     """Validate the boundary weight and compute alpha, beta and the
-    correction rule by quadrature.
+    correction rule by quadrature, from one evaluation of the weight.
 
     Nonnegativity of the weight is checked at 1001 uniform points plus the
-    quadrature abscissae; a weight dipping negative strictly between
-    samples is accepted (sampling limitation).
+    abscissae of the rules for alpha and beta; a weight dipping negative
+    strictly between samples is accepted (sampling limitation).
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
-    ts, a_vals, a_taus, alpha = _weight_samples(weight, quad)
-    require_nonneg("H2", "a", ts, a_vals)
+    taus, ws = quadrature.nodes_weights(0.0, 1.0, quad)
+    inner = quadrature.nodes(theta, 1.0 - theta, quad)
+    _, a_taus, a_inner = sample_weight(weight, H2_POINTS, taus, inner)
+    alpha = quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)
     if not 0.0 < alpha < 1.0:
         raise HypothesisViolation(
             "H2", f"total mass of a over [0,1] is {alpha}, required strictly inside (0, 1)"
         )
-    beta = quadrature.integrate(weight, theta, 1.0 - theta, quad)
-    beta = min(max(beta, 0.0), alpha)
-    taus, ws = quadrature.nodes_weights(0.0, 1.0, quad)
+    beta = quadrature._simpson_sum(inner, a_inner, theta, 1.0 - theta, quad)
     return KernelContext(
-        weight=weight, theta=theta, alpha=alpha, beta=beta,
-        taus=taus, tau_weights=a_taus * ws / (1.0 - alpha), quad=quad,
+        weight=weight, theta=theta, alpha=alpha, beta=min(max(beta, 0.0), alpha),
+        taus=taus, tau_weights=a_taus * ws / (1.0 - alpha),
     )
 
 

@@ -177,13 +177,8 @@ def cone_ratio(u: GridFunction, ctx: KernelContext) -> ConeCheck:
     n = u.n
     i_lo = int(np.ceil((ctx.theta - 1e-12) * n))
     i_hi = int(np.floor((1.0 - ctx.theta + 1e-12) * n))
-    min_inner = float(np.min(u.values[i_lo : i_hi + 1]))
-    norm = u.sup_norm()
-    threshold = ctx.cone_constant
+    min_inner, norm = float(np.min(u.values[i_lo : i_hi + 1])), u.sup_norm()
     return ConeCheck(
-        min_inner=min_inner,
-        norm=norm,
-        ratio=(min_inner / norm) if norm > 0.0 else None,
-        threshold=threshold,
-        satisfied=min_inner >= threshold * norm - CONE_SLACK,
+        min_inner=min_inner, norm=norm, ratio=(min_inner / norm) if norm > 0.0 else None,
+        threshold=ctx.cone_constant, satisfied=min_inner >= ctx.cone_constant * norm - CONE_SLACK,
     )

@@ -63,11 +63,9 @@ def integrate(
     sample raises :class:`NumericError` carrying the first offending
     abscissa.
     """
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if lo == hi:
         return 0.0
-    xs = nodes(lo, hi, settings)
+    xs = nodes(lo, hi, settings)  # raises ValueError when lo > hi
     return _simpson_sum(xs, fn(xs), lo, hi, settings)
 
 

@@ -32,7 +32,7 @@ from . import quadrature
 from .errors import NumericError, require_nonneg
 from .exprlang import ExpressionFn, ExprEvalError
 from .grid import GridFunction, NONNEG_SLACK
-from .kernel import KernelContext, g_weight
+from .kernel import KernelContext, g_weight, sample_weight
 from .linear import ConeCheck, cone_ratio, operator_matrix
 
 TRIVIALITY_THRESHOLD = 1e-8
@@ -143,8 +143,8 @@ def interior_tolerance(n: int, u_norm: float) -> float:
 
 def _nonlocal_weights(ctx: KernelContext, n: int) -> np.ndarray:
     """Weights aw of the discrete nonlocal condition u(0) = sum of aw_j u_j
-    (grid Simpson weights times a at the nodes)."""
-    return quadrature.grid_weights(n) * ctx.weight(np.linspace(0.0, 1.0, n + 1))
+    (grid Simpson weights times a at the nodes, held to (H2) there)."""
+    return quadrature.grid_weights(n) * sample_weight(ctx.weight, np.linspace(0.0, 1.0, n + 1))[0]
 
 
 def _ode_defects(u: GridFunction, fvals: np.ndarray, aw: np.ndarray) -> np.ndarray:
@@ -159,16 +159,17 @@ def _ode_defects(u: GridFunction, fvals: np.ndarray, aw: np.ndarray) -> np.ndarr
     return rows
 
 
-def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeResidual:
+def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext, fvals=None) -> OdeResidual:
     """Finite-difference defect of the differential form of the problem.
 
     interior: max over the interior stencil points of |D4 u + f(u)|.
     bc: max of |u'(0)|, |u'(1)|, |u''(0)| and |u(0) - integral a u|
-    (grid quadrature).  Needs n >= 9.
+    (grid quadrature).  Needs n >= 9; ``fvals`` = f(u), when given, spares evaluating f.
     """
     if u.n < 9:
         raise ValueError(f"grid too coarse for fourth differences: n={u.n} < 9")
-    rows = _ode_defects(u, _f_values(u, f)[2:-2], _nonlocal_weights(ctx, u.n))
+    fvals = _f_values(u, f) if fvals is None else fvals
+    rows = _ode_defects(u, fvals[2:-2], _nonlocal_weights(ctx, u.n))
     return OdeResidual(interior=float(np.max(rows[2:-2])), bc=float(np.max(rows[[0, 1, -2, -1]])))
 
 
@@ -199,7 +200,8 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
     Non-convergence within max_iter is reported via ``status``
     ("max_iter"); overflow or NaN during iteration yields "diverged" with
     the last finite iterate.  Diagnostics are computed on the returned
-    iterate either way; those that f or A overflows read inf.
+    iterate either way; those that f or A overflows read inf.  An a that
+    fails or is negative at a grid node raises :class:`HypothesisViolation`.
     """
     op = operator_matrix(ctx, config.n)
     u = config.initial_guess()
@@ -219,9 +221,9 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
             break
 
     try:
-        _, au, bound = _diagnose(u, f, ctx, op)
+        fvals, au, bound = _diagnose(u, f, ctx, op)
         res_int = math.inf if au is None else float(np.max(np.abs(u.values - au)))
-        res_ode = residual_ode(u, f, ctx)
+        res_ode = residual_ode(u, f, ctx, fvals)
     except ExprEvalError:
         res_int, res_ode, bound = math.inf, OdeResidual(math.inf, math.inf), math.inf
     return SolveReport(

@@ -336,6 +336,28 @@ def test_unevaluable_weight_is_h2_violation(tmp_path, capsys, command):
     assert "hypothesis H2 violated" in err and "t = 0.5" in err
 
 
+# a fails at one point only: an abscissa of beta's rule on [theta, 1 - theta]
+# (theta = 0.25), or node 1 of a 3200-interval grid
+@pytest.mark.parametrize(
+    "command, text, t",
+    [
+        ("analyze", "a = 0.1 + 0.000000000000000000000000000001/(t-0.25125)^2\n", "0.25125"),
+        ("solve", "a = 0.1 + 0.000000000000000000000000000001/(t-0.25125)^2\n", "0.25125"),
+        ("solve", "a = 0.1 + 0.000000000000000000000000000001/(t-0.0003125)^2\n"
+                  "grid_n = 3200\n", "0.0003125"),
+    ],
+    ids=["analyze-beta-abscissa", "solve-beta-abscissa", "solve-grid-node"],
+)
+def test_weight_failing_at_one_sample_exits_2(tmp_path, capsys, command, text, t):
+    path = write_problem(tmp_path, "f = 0.5*u/(1+u) + 0.3\n" + text)
+    assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hypothesis H2 violated")
+    assert f"a cannot be evaluated at t = {t}:" in err[0]
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, text, code",
     [
@@ -496,18 +518,28 @@ def test_grid_self_consistency(tmp_path, capsys):
         ["analyze", "{problem}", "--out", "{bad}"],
         ["verify-lemmas", "--grid", "20", "--report", "{bad}"],
         ["reproduce-examples", "--grid", "40", "--out-dir", "{bad}"],
+        # a file output that names an existing directory
+        pytest.param(["solve", "{problem}", "--out", "{dir}"], id="solve-dir"),
+        pytest.param(["solve", "{problem}", "--out", "{ok}", "--plot-data", "{dir}"],
+                     id="solve-plot-data-dir"),
+        pytest.param(["analyze", "{problem}", "--out", "{dir}"], id="analyze-dir"),
+        pytest.param(["verify-lemmas", "--grid", "20", "--report", "{dir}"],
+                     id="verify-lemmas-dir"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_unwritable_output_path_exit(tmp_path, capsys, argv):
-    # the path lies under a regular file, so it can be neither created nor opened;
-    # the command finds that out before any work, so stdout holds no report
+    # the bad path lies under a regular file, so it can be neither created nor
+    # opened, and the dir path is a directory; the command finds that out
+    # before any work, so stdout holds no report
     (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
     names = dict(problem=write_problem(tmp_path, PROBE), bad=str(tmp_path / "file" / "x"),
-                 ok=str(tmp_path / "ok.csv"))
+                 ok=str(tmp_path / "ok.csv"), dir=str(tmp_path / "dir"))
     assert cli.main([arg.format(**names) for arg in argv]) == 3
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.problem", "file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.problem", "dir", "file"]
+    assert not any((tmp_path / "dir").iterdir())

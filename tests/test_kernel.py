@@ -10,9 +10,10 @@ from beambvp.kernel import (
     green,
     green_matrix,
     make_context,
+    sample_weight,
 )
 from beambvp.linear import operator_matrix
-from beambvp.quadrature import nodes_weights
+from beambvp.quadrature import QuadratureSettings, integrate, nodes_weights
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -112,9 +113,44 @@ def test_make_context_rejects_bad_theta():
 
 
 def test_make_context_rejects_unevaluable_weight():
-    with pytest.raises(HypothesisViolation) as exc:
-        make_context(parse("0.1/(t-1/2)^2", "t"))
-    assert exc.value.which == "H2" and "t = 0.5" in str(exc.value)
+    # the second a fails only at 0.25125, an abscissa of beta's rule on [0.25, 0.75]
+    for text, t in (("0.1/(t-1/2)^2", "0.5"),
+                    ("0.1 + 0.000000000000000000000000000001/(t-0.25125)^2", "0.25125")):
+        with pytest.raises(HypothesisViolation) as exc:
+            make_context(parse(text, "t"), theta=0.25)
+        assert exc.value.which == "H2" and f"t = {t}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["t^2", "0.9*t^2", "exp(-t)/2", "0.3+0.5*t*(1-t)-0.2*t^3"])
+@pytest.mark.parametrize("panels", [1, 7, 200, 333])
+@pytest.mark.parametrize("theta", [0.1, 0.25, 0.4999])
+def test_make_context_masses_match_integrate(text, panels, theta):
+    # alpha and beta come from one sampling, bit-identical to the rule's integrals
+    weight, quad = parse(text, "t"), QuadratureSettings(panels=panels)
+    ctx = make_context(weight, theta=theta, quad=quad)
+    assert ctx.alpha == integrate(weight, 0.0, 1.0, quad)
+    assert ctx.beta == min(max(integrate(weight, theta, 1.0 - theta, quad), 0.0), ctx.alpha)
+
+
+def test_sample_weight_evaluates_the_sorted_union_once():
+    calls = []
+
+    def weight(ts):
+        calls.append(ts)
+        return 1.0 + ts
+
+    first, second = sample_weight(weight, np.array([0.5, 0.25]), np.array([0.25, 0.0]))
+    assert [c.tolist() for c in calls] == [[0.0, 0.25, 0.5]]
+    assert first.tolist() == [1.5, 1.25] and second.tolist() == [1.25, 1.0]
+
+
+def test_sample_weight_names_the_smallest_failing_t():
+    with pytest.raises(HypothesisViolation, match=r"evaluated at t = 0\.5:"):
+        sample_weight(parse("1/((t-3/4)*(t-1/2))", "t"), np.array([0.75, 1.0]), np.array([0.5]))
+    weight = parse("t-1/2", "t")
+    with pytest.raises(HypothesisViolation, match=r"a\(0\.25\) = -0\.25 < 0"):
+        sample_weight(weight, np.array([0.75, 0.3]), np.array([0.25]))
+    assert sample_weight(weight, np.array([0.25]), nonneg=False)[0].tolist() == [-0.25]
 
 
 # the modified kernel is H(t, s) = G(t, s) + c(s), with c from correction_values

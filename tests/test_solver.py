@@ -114,7 +114,7 @@ def test_weight_evaluated_once_per_operator(ctx_t2):
         return ctx_t2.weight(ts)
 
     ctx = make_context(counting_weight)
-    assert len(calls) == 2  # the H2 sample set (alpha, the rule), then beta
+    assert len(calls) == 1  # one sampling gives H2, alpha, beta and the rule
     calls.clear()
     check_h1_h2(F_ONE, counting_weight)
     assert len(calls) == 1
@@ -127,6 +127,36 @@ def test_weight_evaluated_once_per_operator(ctx_t2):
         report = picard_solve(f, ctx, SolveConfig(n=400, u0=u0))
         assert report.iterations == iterations
         assert len(calls) == 1  # the nodes in residual_ode
+
+
+def test_picard_evaluates_f_once_per_iterate(ctx_t2):
+    # one f evaluation per iteration and one for the final diagnostics, which
+    # the ODE residual reads too
+    calls = []
+
+    def counting_f(us):
+        calls.append(us)
+        return F_AFFINE(us)
+
+    report = picard_solve(counting_f, ctx_t2, SolveConfig(n=400, u0=1.0))
+    assert report.iterations == 6 and len(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ("0.1 + 0.000000000000000000000000000001/(t-0.0003125)^2",
+         "a cannot be evaluated at t = 0.0003125:"),
+        ("0.5 - 1e-40/((t-0.0003125)^2 + 1e-80)", "a(0.0003125) = -"),
+    ],
+    ids=["fails", "negative"],
+)
+def test_picard_rejects_weight_breaking_h2_at_grid_node(weight, message):
+    # a is fine on every sample of make_context, but not at node 1 of the grid
+    ctx = make_context(parse(weight, "t"))
+    with pytest.raises(HypothesisViolation) as exc:
+        picard_solve(F_ONE, ctx, SolveConfig(n=3200))
+    assert exc.value.which == "H2" and message in str(exc.value)
 
 
 def test_picard_respects_max_iter(ctx_t2):
