@@ -164,7 +164,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _check_output_paths(*paths: Optional[str]) -> None:
+def _check_output_paths(*paths: str | Path | None) -> None:
     """Fail before any work when an output is a directory or lies in no writable one."""
     for path in filter(None, paths):
         parent = Path(path).parent
@@ -418,12 +418,8 @@ def _print_analysis(problem: ProblemFile, h1h2, report: hypotheses.HypothesisRep
 
 def _analyze_problem(problem: ProblemFile, out_path: Optional[str] = None):
     """Print the analysis block (and write it to ``out_path``); shared by
-    cmd_analyze and cmd_reproduce_examples.  Returns (h1h2, ctx, report),
-    with ctx and report None when H2 fails."""
+    cmd_analyze and cmd_reproduce_examples.  Returns (h1h2, ctx, report)."""
     h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
-    if not h1h2.h2:
-        print(f"hypothesis H2 fails: alpha = {_fmt(h1h2.alpha)} or negative weight")
-        return h1h2, None, None
     ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
     report = hypotheses.build_report(problem.f, ctx)
     lines = _print_analysis(problem, h1h2, report)
@@ -435,8 +431,8 @@ def _analyze_problem(problem: ProblemFile, out_path: Optional[str] = None):
 
 def cmd_analyze(args) -> int:
     _check_output_paths(args.out)
-    h1h2, ctx, _ = _analyze_problem(load_problem(args.file), args.out)
-    return EXIT_OK if ctx is not None and h1h2.h1 else EXIT_HYPOTHESIS
+    h1h2, _, _ = _analyze_problem(load_problem(args.file), args.out)
+    return EXIT_OK if h1h2.h1 and h1h2.h2 else EXIT_HYPOTHESIS
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +445,18 @@ def bundled_problem(name: str) -> ProblemFile:
 
 
 def cmd_reproduce_examples(args) -> int:
-    # check the overrides of both problems before anything is written
+    # check the overrides and the outputs of both problems before any work
     overrides = {k: v for k, v in (("theta", args.theta), ("grid_n", args.grid)) if v is not None}
     problems = {name: dataclasses.replace(bundled_problem(name), **overrides)
                 for name in ("example_a", "example_b")}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    out_paths = {name: Path(args.out_dir, f"{name}.solution.csv") for name in problems}
+    _check_output_paths(*out_paths.values())
     exit_code = EXIT_OK
     for name, problem in problems.items():
         print(f"=== {name}: f = {problem.f.source}, a = {problem.a.source} ===")
         h1h2, ctx, hyp_report = _analyze_problem(problem)
-        if ctx is None:
-            return EXIT_HYPOTHESIS
-        outcome, code = _solve_problem(problem, h1h2, ctx, None, out_dir / f"{name}.solution.csv")
+        outcome, code = _solve_problem(problem, h1h2, ctx, None, out_paths[name])
         report = outcome["report"]
 
         # contrast the certified criterion with the computed fixed point

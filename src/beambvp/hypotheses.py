@@ -118,7 +118,8 @@ def _scan_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
     return np.logspace(lo_exp, hi_exp, SCAN_POINTS)
 
 
-def certify_f0_zero(f: ArrayFn, ctx: KernelContext) -> Optional[F0Certificate]:
+def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
+                    f0_estimate: LimitEstimate) -> Optional[F0Certificate]:
     """Certificate for the small-amplitude criterion, or None.
 
     epsilon is pinned at its largest admissible value 1 - alpha (this
@@ -129,7 +130,7 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext) -> Optional[F0Certificate]:
     certifiable radius is capped at 1e3.  Returns None when the f0
     estimate is not approximately zero or no radius >= 1e-6 exists.
     """
-    if not estimate_f0(f).is_zero():
+    if not f0_estimate.is_zero():
         return None
     epsilon = 1.0 - ctx.alpha
     us = _scan_grid(-9.0, math.log10(RHO1_CAP))
@@ -155,16 +156,18 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext) -> Optional[F0Certificate]:
     return F0Certificate(epsilon=epsilon, rho1=lo)
 
 
-def certify_finf_zero(f: ArrayFn, ctx: KernelContext) -> Optional[FInfCertificate]:
+def certify_finf_zero(f: ArrayFn, ctx: KernelContext,
+                      finf_estimate: LimitEstimate) -> Optional[FInfCertificate]:
     """Certificate for the large-amplitude criterion, or None.
 
     Boundedness probe: scan f on a log grid over (0, 1e6] (plus u = 0);
     if the supremum shows no growth in the last decade it is taken as
     stable and Case 1 returns L = observed sup * (1 + 1e-6).  Otherwise
     Case 2 constants are built from the same scan with eta = 1 - alpha.
-    Returns None when f fails to evaluate anywhere on the scan or at 0.
+    Returns None when the finf estimate is not approximately zero, or f
+    fails to evaluate anywhere on the scan or at 0.
     """
-    if not estimate_finf(f).is_zero():
+    if not finf_estimate.is_zero():
         return None
     us = _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))
     fvals, stop = _scan(f, np.concatenate(([0.0], us)))
@@ -233,13 +236,14 @@ class HypothesisReport:
 
 
 def build_report(f: ArrayFn, ctx: KernelContext) -> HypothesisReport:
-    """Run both estimates and both certifications against a valid context."""
+    """Run both estimates, once each, and both certifications against a valid context."""
+    f0, finf = estimate_f0(f), estimate_finf(f)
     return HypothesisReport(
         alpha=ctx.alpha,
         beta=ctx.beta,
-        f0_estimate=estimate_f0(f),
-        finf_estimate=estimate_finf(f),
+        f0_estimate=f0,
+        finf_estimate=finf,
         epsilon=1.0 - ctx.alpha,
-        f0_certificate=certify_f0_zero(f, ctx),
-        finf_certificate=certify_finf_zero(f, ctx),
+        f0_certificate=certify_f0_zero(f, ctx, f0),
+        finf_certificate=certify_finf_zero(f, ctx, finf),
     )

@@ -124,7 +124,7 @@ def test_c08_example_a_analysis():
     finf = estimate_finf(problem.f)
     assert abs(f0.value) < 1e-4
     assert abs(finf.value - 1.0) <= 1e-3
-    cert = certify_f0_zero(problem.f, ctx)
+    cert = certify_f0_zero(problem.f, ctx, estimate_f0(problem.f))
     assert cert is not None
     assert cert.epsilon == 1.0 - ctx.alpha  # epsilon is exactly the maximal slope
     assert abs(cert.epsilon - 2.0 / 3.0) <= 1e-12
@@ -140,7 +140,7 @@ def test_c09_example_b_analysis():
     finf = estimate_finf(problem.f)
     assert abs(finf.value) < 1e-4
     assert abs(f0.value - 1.0) <= 1e-3
-    cert = certify_finf_zero(problem.f, ctx)
+    cert = certify_finf_zero(problem.f, ctx, estimate_finf(problem.f))
     assert cert is not None and cert.bounded_case
     assert abs(cert.L - 1.0) <= 1e-6
     _pass(9, f"example B: finf {finf.value:.2g}, f0 {f0.value:.6f}, Case 1 L = {cert.L!r}")

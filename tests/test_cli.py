@@ -48,6 +48,7 @@ def test_problem_comments_and_values():
     )
     assert problem.theta == 0.1
     assert problem.u0 == 1.0
+    assert cli.parse_problem("f = 1\na = t^2\nu0 = zero\n").u0 == 0.0
 
 
 @pytest.mark.parametrize(
@@ -59,7 +60,9 @@ def test_problem_comments_and_values():
         "f = 1\na = t^2\ntheta = 0.7\n",  # theta out of range
         "f = 1\na = t^2\ngrid_n = 201\n",  # odd grid
         "f = 1\na = t^2\ntol = inf\n",  # every first step would pass as converged
+        "f = 1\na = t^2\nquad_panels = 0\n",
         "f = 1\na = t^2\nu0 = ramp\n",  # bad descriptor
+        "f = 1\na = t^2\nu0 = constant abc\n",  # bad constant
         "f = 1\na = t^2\nu0 = constant nan\n",  # non-finite start
         "f = 1\na = t^2\nu0 = constant 1e400\n",  # overflows to inf
         "f = u +\na = t^2\n",  # expression syntax
@@ -328,12 +331,23 @@ def test_analyze_overflow_on_boundedness_probe(tmp_path, capsys):
     assert "criterion_finf_zero_applicable = false" in out
 
 
+# analyze and solve learn of an H2 failure only from make_context, so both
+# print the same one error line and no report
+H2_FAILURES = {
+    "t-0.5": "a(0.0) = -0.5 < 0",
+    "2*t": "total mass of a over [0,1] is 1.0, required strictly inside (0, 1)",
+    "0.1/(t-1/2)^2": "a cannot be evaluated at t = 0.5: division by zero at offset 3",
+}
+
+
 @pytest.mark.parametrize("command", ["analyze", "solve"])
 def test_unevaluable_weight_is_h2_violation(tmp_path, capsys, command):
-    path = write_problem(tmp_path, "f = 1+u\na = 0.1/(t-1/2)^2\n")
-    assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "hypothesis H2 violated" in err and "t = 0.5" in err
+    for a, message in H2_FAILURES.items():
+        path = write_problem(tmp_path, f"f = 1-exp(-u)\na = {a}\n")
+        assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: hypothesis H2 violated: {message}"]
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 # a fails at one point only: an abscissa of beta's rule on [theta, 1 - theta]
@@ -459,6 +473,15 @@ def test_reproduce_examples_rejects_bad_override(tmp_path, capsys, override):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_reproduce_examples_checks_its_csv_paths_first(tmp_path, capsys):
+    (tmp_path / "example_b.solution.csv").mkdir()
+    assert cli.main(["reproduce-examples", "--grid", "40", "--out-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "example_b.solution.csv" in err[0]
+    assert captured.out == "" and not (tmp_path / "example_a.solution.csv").exists()
+
+
 def test_reproduce_examples_bad_override_creates_no_dir(tmp_path, capsys):
     out_dir = tmp_path / "fresh"
     assert cli.main(["reproduce-examples", "--theta", "0.7", "--out-dir", str(out_dir)]) == 3
@@ -472,6 +495,7 @@ def test_reproduce_examples_bad_override_creates_no_dir(tmp_path, capsys):
     "command",
     [
         "verify-lemmas --theta 0.7",
+        "verify-lemmas --theta 0.1,x",
         "verify-lemmas --grid 0",
         "verify-lemmas --grid -4",
         "verify-lemmas --grid 1",  # no node in [theta, 1 - theta]

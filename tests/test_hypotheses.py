@@ -85,7 +85,7 @@ def test_overflowing_f_reported_divergent():
 
 
 def test_certificate_for_saturating_f(ctx_t2):
-    cert = certify_f0_zero(F_SATURATING, ctx_t2)
+    cert = certify_f0_zero(F_SATURATING, ctx_t2, estimate_f0(F_SATURATING))
     assert cert is not None
     assert cert.epsilon == 1.0 - ctx_t2.alpha
     assert cert.epsilon == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -94,23 +94,24 @@ def test_certificate_for_saturating_f(ctx_t2):
 
 
 def test_certificate_for_square(ctx_t2):
-    cert = certify_f0_zero(F_SQUARE, ctx_t2)
+    cert = certify_f0_zero(F_SQUARE, ctx_t2, estimate_f0(F_SQUARE))
     assert cert is not None
     assert cert.rho1 == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 def test_no_certificate_when_f0_positive(ctx_t2):
-    assert certify_f0_zero(F_IDENTITY, ctx_t2) is None
-    assert certify_f0_zero(F_BOUNDED, ctx_t2) is None
+    assert certify_f0_zero(F_IDENTITY, ctx_t2, estimate_f0(F_IDENTITY)) is None
+    assert certify_f0_zero(F_BOUNDED, ctx_t2, estimate_f0(F_BOUNDED)) is None
 
 
 def test_certificate_capped_radius(ctx_t2):
-    assert certify_f0_zero(parse("0", "u"), ctx_t2).rho1 == 1e3
+    f = parse("0", "u")
+    assert certify_f0_zero(f, ctx_t2, estimate_f0(f)).rho1 == 1e3
 
 
 def test_certificate_scan_invariant(ctx_t2):
     for f in (F_SATURATING, F_SQUARE):
-        cert = certify_f0_zero(f, ctx_t2)
+        cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
         us = np.logspace(-9.0, math.log10(cert.rho1), 10**4)
         margins = np.array([f(float(u)) - cert.epsilon * u for u in us])
         assert float(np.max(margins)) <= 1e-12
@@ -120,26 +121,27 @@ def test_certificate_scan_invariant(ctx_t2):
 
 
 def test_bounded_certificate(ctx_t2):
-    cert = certify_finf_zero(F_BOUNDED, ctx_t2)
+    cert = certify_finf_zero(F_BOUNDED, ctx_t2, estimate_finf(F_BOUNDED))
     assert cert is not None and cert.bounded_case
     assert cert.L == pytest.approx(1.0, abs=1e-6)
 
 
 def test_bounded_certificate_hump(ctx_t2):
-    cert = certify_finf_zero(parse("u*exp(-u)", "u"), ctx_t2)
+    f = parse("u*exp(-u)", "u")
+    cert = certify_finf_zero(f, ctx_t2, estimate_finf(f))
     assert cert is not None and cert.bounded_case
     assert cert.L == pytest.approx(math.exp(-1.0), rel=3e-6)
 
 
 def test_no_certificate_when_finf_positive(ctx_t2):
-    assert certify_finf_zero(F_SQUARE, ctx_t2) is None
-    assert certify_finf_zero(F_SATURATING, ctx_t2) is None
+    assert certify_finf_zero(F_SQUARE, ctx_t2, estimate_finf(F_SQUARE)) is None
+    assert certify_finf_zero(F_SATURATING, ctx_t2, estimate_finf(F_SATURATING)) is None
 
 
 def test_unbounded_sublinear_certificate(ctx_t2):
     # u^(1/4) is not expressible in the grammar; duck-typed callable
     f = lambda u: u**0.25  # noqa: E731
-    cert = certify_finf_zero(f, ctx_t2)
+    cert = certify_finf_zero(f, ctx_t2, estimate_finf(f))
     assert cert is not None and not cert.bounded_case
     assert cert.eta == 1.0 - ctx_t2.alpha
     assert cert.rho_hat2 == max(cert.sigma, cert.rho2)
