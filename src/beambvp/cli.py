@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -164,9 +165,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _check_output_paths(*paths: str | Path | None) -> None:
-    """Fail before any work when an output is a directory or lies in no writable one."""
+def _check_output_paths(*paths: str | Path | None, source: str | None = None) -> None:
+    """Fail before any work when an output is a directory, lies in no
+    writable one, or names the same file as the input ``source`` or as
+    another output."""
+    claimed = {Path(source).resolve(): f"input {source}"} if source else {}
     for path in filter(None, paths):
+        target = Path(path).resolve()
+        if target in claimed:
+            raise OSError(f"{path}: same file as the {claimed[target]}")
+        claimed[target] = f"output {path}"
         parent = Path(path).parent
         if Path(path).is_dir():
             raise IsADirectoryError(f"{path} is a directory")
@@ -176,10 +184,10 @@ def _check_output_paths(*paths: str | Path | None) -> None:
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
     """Write float rows, every cell with 17 significant digits."""
+    cells = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(line % tuple(row) for row in rows)
+        handle.write(",".join(header) + "\n" + (line * len(cells)) % tuple(cells.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +296,7 @@ def cmd_verify_lemmas(args) -> int:
 # solve
 
 
-def _solution_csv_rows(
-    u: GridFunction, f: ExpressionFn, ctx: KernelContext
-) -> list[list[float]]:
+def _solution_csv_rows(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> np.ndarray:
     n = u.n
     au, residual = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
     try:  # diverged iterates can overflow f or A; those columns stay nan
@@ -300,7 +306,7 @@ def _solution_csv_rows(
         residual[2:-2] = solver._ode_defects(u, fvals[2:-2], aw)[2:-2]
     except ExprEvalError:
         pass
-    return np.column_stack((u.ts, u.values, au, residual)).tolist()
+    return np.column_stack((u.ts, u.values, au, residual))
 
 
 def _solve_problem(problem: ProblemFile, h1h2, ctx: KernelContext, u0_override: Optional[str],
@@ -319,7 +325,7 @@ def _solve_problem(problem: ProblemFile, h1h2, ctx: KernelContext, u0_override: 
     rows = _solution_csv_rows(report.solution, problem.f, ctx)
     _write_csv(out_path, ["t", "u", "Au", "fourth_diff_residual"], rows)
     if plot_path:
-        _write_csv(plot_path, ["t", "u"], [row[:2] for row in rows])
+        _write_csv(plot_path, ["t", "u"], rows[:, :2])
     _print_solve_summary(problem, outcome)
     print(f"solution written to {out_path}")
     if not (h1h2.h1 and h1h2.h2):
@@ -372,7 +378,7 @@ def _print_solve_summary(problem: ProblemFile, outcome: dict) -> None:
 
 def cmd_solve(args) -> int:
     out_path = args.out or (Path(args.file).stem + ".solution.csv")
-    _check_output_paths(out_path, args.plot_data)
+    _check_output_paths(out_path, args.plot_data, source=args.file)
     problem = load_problem(args.file)
     h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
     ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
@@ -430,7 +436,7 @@ def _analyze_problem(problem: ProblemFile, out_path: Optional[str] = None):
 
 
 def cmd_analyze(args) -> int:
-    _check_output_paths(args.out)
+    _check_output_paths(args.out, source=args.file)
     h1h2, _, _ = _analyze_problem(load_problem(args.file), args.out)
     return EXIT_OK if h1h2.h1 and h1h2.h2 else EXIT_HYPOTHESIS
 
@@ -510,6 +516,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="beambvp",

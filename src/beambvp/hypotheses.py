@@ -22,6 +22,7 @@ among many; any pair satisfying the inequalities would do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -114,8 +115,19 @@ class FInfCertificate:
     rho_hat2: Optional[float] = None
 
 
+@functools.cache  # read-only, so every caller can share one array
 def _scan_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
-    return np.logspace(lo_exp, hi_exp, SCAN_POINTS)
+    us = np.logspace(lo_exp, hi_exp, SCAN_POINTS)
+    us.setflags(write=False)
+    return us
+
+
+@functools.cache
+def _probe() -> np.ndarray:
+    """u = 0, then the scan grid over [1e-9, 1e6]: the H1 and boundedness probe."""
+    us = np.concatenate(([0.0], _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))))
+    us.setflags(write=False)
+    return us
 
 
 def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
@@ -169,8 +181,8 @@ def certify_finf_zero(f: ArrayFn, ctx: KernelContext,
     """
     if not finf_estimate.is_zero():
         return None
-    us = _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))
-    fvals, stop = _scan(f, np.concatenate(([0.0], us)))
+    us = _probe()[1:]
+    fvals, stop = _scan(f, _probe())
     if stop <= len(us):
         return None  # f fails at 0 or overflows on the probe: no finite L or sigma
     f_at_zero, fvals = float(fvals[0]), fvals[1:]
@@ -214,7 +226,7 @@ def check_h1_h2(
     h2: a >= 0 on sampled [0, 1] and its total mass alpha lies in (0, 1).
     """
     # NaN where f failed: fatal at u = 0, skipped elsewhere
-    fvals, _ = _scan(f, np.concatenate(([0.0], _scan_grid(-9.0, 6.0))))
+    fvals, _ = _scan(f, _probe())
     taus = quadrature.nodes(0.0, 1.0, quad)
     a_vals, a_taus = kernel.sample_weight(a, kernel.H2_POINTS, taus, nonneg=False)
     alpha = quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)

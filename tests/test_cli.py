@@ -425,6 +425,22 @@ def test_solution_csv_rows_evaluate_f_once(ctx_t2):
     assert len(rows) == 41 and len(calls) == 1
 
 
+# every float class the %.17g format renders differently
+CSV_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, 0.1, 1e-5, 1e16, 1e17]
+
+
+def test_write_csv_matches_per_row_format(tmp_path):
+    table = np.column_stack([np.roll(CSV_VALUES, k) for k in range(4)])
+    path = tmp_path / "table.csv"
+    for header, rows in ((["t", "u", "Au", "fourth_diff_residual"], table),
+                         (["t", "u"], table[:, :2])):  # the --plot-data slice
+        cli._write_csv(str(path), header, rows)
+        reference = ",".join(header) + "\n" + "".join(
+            ",".join("%.17g" % x for x in row) + "\n" for row in rows.tolist())
+        assert path.read_bytes() == reference.encode()
+
+
 def test_analyze_out_file(tmp_path, capsys):
     path = write_problem(tmp_path, "f = u*(1-exp(-u))\na = t^2\n")
     report = tmp_path / "analysis.txt"
@@ -549,6 +565,13 @@ def test_grid_self_consistency(tmp_path, capsys):
         pytest.param(["analyze", "{problem}", "--out", "{dir}"], id="analyze-dir"),
         pytest.param(["verify-lemmas", "--grid", "20", "--report", "{dir}"],
                      id="verify-lemmas-dir"),
+        # an output that names the input file or another output
+        pytest.param(["solve", "{problem}", "--out", "{problem}"], id="solve-out-is-input"),
+        pytest.param(["solve", "{problem}", "--out", "{ok}", "--plot-data", "{alias}"],
+                     id="solve-plot-data-is-input"),
+        pytest.param(["solve", "{problem}", "--out", "{ok}", "--plot-data", "{ok}"],
+                     id="solve-plot-data-is-out"),
+        pytest.param(["analyze", "{problem}", "--out", "{alias}"], id="analyze-out-is-input"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -559,7 +582,8 @@ def test_unwritable_output_path_exit(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
     names = dict(problem=write_problem(tmp_path, PROBE), bad=str(tmp_path / "file" / "x"),
-                 ok=str(tmp_path / "ok.csv"), dir=str(tmp_path / "dir"))
+                 ok=str(tmp_path / "ok.csv"), dir=str(tmp_path / "dir"),
+                 alias=str(tmp_path / "dir" / ".." / "case.problem"))
     assert cli.main([arg.format(**names) for arg in argv]) == 3
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -567,3 +591,33 @@ def test_unwritable_output_path_exit(tmp_path, capsys, argv):
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case.problem", "dir", "file"]
     assert not any((tmp_path / "dir").iterdir())
+    assert (tmp_path / "case.problem").read_text() == PROBE
+
+
+# --- state kept between main calls in one process ---------------------------
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys):
+    path = write_problem(tmp_path, PROBE)
+    cli.build_parser.cache_clear()
+    assert cli.main(["analyze", path]) == 0
+    assert cli.main(["analyze", path]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_u0_override_does_not_outlive_its_call(tmp_path, capsys):
+    path = write_problem(tmp_path, PROBE + "u0 = constant 1\n")
+    own, override, again = (tmp_path / f"{name}.csv" for name in ("own", "override", "again"))
+    assert cli.main(["solve", path, "--out", str(own)]) == 0
+    assert cli.main(["solve", path, "--out", str(override), "--u0", "constant 2"]) == 0
+    assert cli.main(["solve", path, "--out", str(again)]) == 0
+    assert override.read_bytes() != own.read_bytes()
+    assert again.read_bytes() == own.read_bytes()
+
+
+def test_usage_error_does_not_outlive_its_call(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--no-such-option"])
+    assert exc.value.code == 3
+    assert cli.main(["analyze", write_problem(tmp_path, PROBE)]) == 0

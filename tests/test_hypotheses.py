@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from beambvp import hypotheses
 from beambvp.errors import HypothesisViolation
 from beambvp.exprlang import parse
 from beambvp.hypotheses import (
@@ -226,3 +227,18 @@ def test_report_coherence(ctx_t2):
             eta = report.finf_certificate.eta
             assert eta is None or eta <= 1.0 - report.alpha
         assert report.epsilon <= 1.0 - report.alpha
+
+
+# --- probe grids --------------------------------------------------------------
+
+
+def test_probe_grids_are_cached_read_only_and_bit_identical():
+    for hi_exp in (math.log10(hypotheses.RHO1_CAP), math.log10(hypotheses.BOUNDEDNESS_CAP)):
+        grid = hypotheses._scan_grid(-9.0, hi_exp)
+        assert grid is hypotheses._scan_grid(-9.0, hi_exp) and not grid.flags.writeable
+        assert grid.tobytes() == np.logspace(-9.0, hi_exp, 10**4).tobytes()
+    probe = hypotheses._probe()
+    assert probe is hypotheses._probe() and not probe.flags.writeable
+    assert probe.tobytes() == np.concatenate(([0.0], np.logspace(-9.0, 6.0, 10**4))).tobytes()
+    with pytest.raises(ValueError):
+        probe[0] = 1.0
