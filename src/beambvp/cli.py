@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import hypotheses, kernel, solver
+from . import csvtext, hypotheses, kernel, solver
 from .errors import HypothesisViolation
 from .exprlang import ExpressionFn, ExprEvalError, ExprSyntaxError, parse
 from .grid import GridFunction
@@ -183,11 +183,10 @@ def _check_output_paths(*paths: str | Path | None, source: str | None = None) ->
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    """Write float rows, every cell with 17 significant digits."""
-    cells = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w") as handle:
-        handle.write(",".join(header) + "\n" + (line * len(cells)) % tuple(cells.ravel().tolist()))
+    """Write float rows, every cell as C's %.17g writes it."""
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        handle.writelines(csvtext.table_chunks(np.asarray(rows, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
