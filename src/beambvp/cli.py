@@ -308,11 +308,11 @@ def _solution_csv_rows(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> 
     return np.column_stack((u.ts, u.values, au, residual))
 
 
-def _solve_problem(problem: ProblemFile, h1h2, ctx: KernelContext, u0_override: Optional[str],
-                   out_path, plot_path: Optional[str] = None) -> tuple[dict, int]:
+def _solve_problem(problem: ProblemFile, h1h2, u0_override: Optional[str], out_path,
+                   plot_path: Optional[str] = None) -> tuple[dict, int]:
     """Solve, cross-check, write the CSVs and print the summary; shared by
     cmd_solve and cmd_reproduce_examples.  Returns the outcome and exit code."""
-    config = problem.config(u0_override)
+    ctx, config = h1h2.ctx, problem.config(u0_override)
     report = solver.picard_solve(problem.f, ctx, config)
     colloc = solver.collocation_oracle(problem.f, ctx, config)
     agreement = float(np.max(np.abs(report.solution.values - colloc.solution.values)))
@@ -327,8 +327,6 @@ def _solve_problem(problem: ProblemFile, h1h2, ctx: KernelContext, u0_override: 
         _write_csv(plot_path, ["t", "u"], rows[:, :2])
     _print_solve_summary(problem, outcome)
     print(f"solution written to {out_path}")
-    if not (h1h2.h1 and h1h2.h2):
-        return outcome, EXIT_HYPOTHESIS
     if report.status != "converged" or colloc.status != "converged":
         return outcome, EXIT_NONCONVERGENCE
     return outcome, EXIT_OK
@@ -379,9 +377,8 @@ def cmd_solve(args) -> int:
     out_path = args.out or (Path(args.file).stem + ".solution.csv")
     _check_output_paths(out_path, args.plot_data, source=args.file)
     problem = load_problem(args.file)
-    h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
-    ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
-    return _solve_problem(problem, h1h2, ctx, args.u0, out_path, args.plot_data)[1]
+    h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad, problem.theta)
+    return _solve_problem(problem, h1h2, args.u0, out_path, args.plot_data)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +420,20 @@ def _print_analysis(problem: ProblemFile, h1h2, report: hypotheses.HypothesisRep
 
 def _analyze_problem(problem: ProblemFile, out_path: Optional[str] = None):
     """Print the analysis block (and write it to ``out_path``); shared by
-    cmd_analyze and cmd_reproduce_examples.  Returns (h1h2, ctx, report)."""
-    h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad)
-    ctx = kernel.make_context(problem.a, theta=problem.theta, quad=problem.quad)
-    report = hypotheses.build_report(problem.f, ctx)
+    cmd_analyze and cmd_reproduce_examples.  Returns (h1h2, report)."""
+    h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad, problem.theta)
+    report = hypotheses.build_report(problem.f, h1h2.ctx)
     lines = _print_analysis(problem, h1h2, report)
     if out_path:
         Path(out_path).write_text("\n".join(lines) + "\n")
         print(f"analysis written to {out_path}")
-    return h1h2, ctx, report
+    return h1h2, report
 
 
 def cmd_analyze(args) -> int:
     _check_output_paths(args.out, source=args.file)
-    h1h2, _, _ = _analyze_problem(load_problem(args.file), args.out)
-    return EXIT_OK if h1h2.h1 and h1h2.h2 else EXIT_HYPOTHESIS
+    _analyze_problem(load_problem(args.file), args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +456,15 @@ def cmd_reproduce_examples(args) -> int:
     exit_code = EXIT_OK
     for name, problem in problems.items():
         print(f"=== {name}: f = {problem.f.source}, a = {problem.a.source} ===")
-        h1h2, ctx, hyp_report = _analyze_problem(problem)
-        outcome, code = _solve_problem(problem, h1h2, ctx, None, out_paths[name])
+        h1h2, hyp_report = _analyze_problem(problem)
+        outcome, code = _solve_problem(problem, h1h2, None, out_paths[name])
         report = outcome["report"]
 
         # contrast the certified criterion with the computed fixed point
         certificates = (hyp_report.f0_certificate, hyp_report.finf_certificate)
         applicable = any(cert is not None for cert in certificates)
         ratio_sup = max(r for _, r in hyp_report.f0_estimate.samples + hyp_report.finf_estimate.samples)
-        contraction = ratio_sup * (1.0 / 72.0) / (1.0 - ctx.alpha)
+        contraction = ratio_sup * (1.0 / 72.0) / (1.0 - h1h2.ctx.alpha)
         print(f"criterion_certified = {_fmt(applicable)}")
         print(f"computed_fixed_point_norm = {_fmt(report.solution.sup_norm())}")
         if contraction < 1.0 and report.trivial:

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernel, quadrature
-from .errors import require_nonneg
+from .errors import HypothesisViolation, require_nonneg
 from .exprlang import ExprEvalError
 from .kernel import KernelContext
 from .quadrature import QuadratureSettings
@@ -76,7 +76,8 @@ def _scan(f: ArrayFn, us: np.ndarray) -> tuple[np.ndarray, int]:
 def _ratio_schedule(f: ArrayFn, us: np.ndarray) -> LimitEstimate:
     fus, stop = _scan(f, us)  # f overflowed at stop: keep the samples before it
     require_nonneg("H1", "f", us[:stop], fus[:stop])
-    samples = tuple(zip(us[:stop].tolist(), (fus / us)[:stop].tolist()))
+    with np.errstate(over="ignore"):  # f near the float limit at a small u: the ratio is inf
+        samples = tuple(zip(us[:stop].tolist(), (fus / us)[:stop].tolist()))
     ratios = [r for _, r in samples]
     if stop < len(us) or (ratios[-1] >= DIVERGENCE_LIMIT and ratios[-1] > ratios[-2]):
         return LimitEstimate(None, False, True, samples)
@@ -210,28 +211,31 @@ def certify_finf_zero(f: ArrayFn, ctx: KernelContext,
 
 @dataclass(frozen=True)
 class H1H2Report:
-    h1: bool
+    h1: bool  # h1 and h2 always read true: check_h1_h2 raises on a violation
     h2: bool
-    alpha: float
+    ctx: KernelContext
 
 
-def check_h1_h2(
-    f: ArrayFn, a: ArrayFn, quad: QuadratureSettings = quadrature.DEFAULT_SETTINGS
-) -> H1H2Report:
-    """Sampled verdicts on the two standing hypotheses.
+def check_h1_h2(f: ArrayFn, a: ArrayFn, quad: QuadratureSettings = quadrature.DEFAULT_SETTINGS,
+                theta: float = kernel.DEFAULT_THETA) -> H1H2Report:
+    """The gate every command passes before any output: raise
+    :class:`HypothesisViolation` unless both standing hypotheses hold.
 
-    h1: f is defined at u = 0 and f >= 0 at 1e4 scan points of [0, 1e6]
-    (continuity comes from the expression grammar; other points where f
-    overflows are skipped, since overflow says magnitude, not sign).
-    h2: a >= 0 on sampled [0, 1] and its total mass alpha lies in (0, 1).
+    H2 first: :func:`kernel.make_context` checks it and builds the returned
+    context.  H1: f is defined at u = 0 and f >= 0 at 1e4 scan points of
+    [0, 1e6] (continuity comes from the expression grammar; other points
+    where f overflows are skipped, since overflow says magnitude, not sign).
     """
-    # NaN where f failed: fatal at u = 0, skipped elsewhere
-    fvals, _ = _scan(f, _probe())
-    taus = quadrature.nodes(0.0, 1.0, quad)
-    a_vals, a_taus = kernel.sample_weight(a, kernel.H2_POINTS, taus, nonneg=False)
-    alpha = quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)
-    h2 = bool(np.all(a_vals >= 0.0) and np.all(a_taus >= 0.0)) and 0.0 < alpha < 1.0
-    return H1H2Report(h1=bool(fvals[0] >= 0.0) and not np.any(fvals < 0.0), h2=h2, alpha=alpha)
+    ctx = kernel.make_context(a, theta=theta, quad=quad)
+    us = _probe()
+    try:
+        fvals = f(us)
+    except ExprEvalError as exc:
+        if exc.index == 0:
+            raise HypothesisViolation("H1", f"f cannot be evaluated at u = 0: {exc}") from exc
+        fvals = exc.values  # NaN where f overflowed, which no comparison flags
+    require_nonneg("H1", "f", us, fvals)
+    return H1H2Report(h1=True, h2=True, ctx=ctx)
 
 
 @dataclass(frozen=True)

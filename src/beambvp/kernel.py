@@ -98,18 +98,17 @@ class KernelContext:
         return self.theta**3 * (1.0 - self.alpha + self.beta)
 
 
-def sample_weight(weight: ExpressionFn, *point_sets: np.ndarray, nonneg: bool = True) -> list:
+def sample_weight(weight: ExpressionFn, *point_sets: np.ndarray) -> list:
     """a on each of ``point_sets`` from one evaluation on their sorted union,
-    the one place the package evaluates a.  (H2) holds a finite there and,
-    with ``nonneg``, >= 0; a point that breaks the rule raises
-    :class:`HypothesisViolation` naming the smallest such t."""
+    the one place the package evaluates a.  (H2) holds a finite and >= 0
+    there; a point that breaks the rule raises :class:`HypothesisViolation`
+    naming the smallest such t."""
     ts, inverse = np.unique(np.concatenate(point_sets), return_inverse=True)
     try:
         a_vals = weight(ts)
     except ExprEvalError as exc:
         raise HypothesisViolation("H2", f"a cannot be evaluated at t = {exc.x}: {exc}") from exc
-    if nonneg:
-        require_nonneg("H2", "a", ts, a_vals)
+    require_nonneg("H2", "a", ts, a_vals)
     return np.split(a_vals[inverse], np.cumsum([len(p) for p in point_sets[:-1]]))
 
 

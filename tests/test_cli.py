@@ -1,11 +1,13 @@
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from beambvp import cli
+from beambvp import cli, hypotheses
+from beambvp.exprlang import ExpressionFn
 from beambvp.grid import GridFunction
 
 PROBE = """\
@@ -27,6 +29,13 @@ def read_csv(path):
         header = handle.readline().strip().split(",")
         rows = [line.strip().split(",") for line in handle if line.strip()]
     return header, rows
+
+
+def assert_refused(capsys, which, message, out_path):
+    """A hypothesis failure ends in one error line, with no report and no file."""
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: hypothesis {which} violated: {message}"]
+    assert captured.out == "" and not Path(out_path).exists()
 
 
 # --- problem files ----------------------------------------------------------
@@ -167,9 +176,22 @@ def test_solve_plot_data(tmp_path, capsys):
     assert len(rows) == 201
 
 
-def test_solve_hypothesis_violation_exit(tmp_path, capsys):
-    path = write_problem(tmp_path, "f = 1\na = 2*t\n")
-    assert cli.main(["solve", path]) == 2
+# f >= 0 fails first at u = 0, or only on (49, 51), inside the H1 probe
+NEGATIVE_F = {
+    "u-1": "f(0.0) = -1.0 < 0",
+    "(u-50)^2 - 1": "f(49.15516484961497) = -0.28625356867390306 < 0",
+}
+
+
+def test_solve_hypothesis_violation_exit(tmp_path, capsys, monkeypatch):
+    # the default output, case.solution.csv in the working directory, stays unwritten
+    monkeypatch.chdir(tmp_path)
+    cases = [("1", "2*t", "H2", H2_FAILURES["2*t"])]
+    cases += [(f, "t^2", "H1", message) for f, message in NEGATIVE_F.items()]
+    for f, a, which, message in cases:
+        path = write_problem(tmp_path, f"f = {f}\na = {a}\n")
+        assert cli.main(["solve", path]) == 2
+        assert_refused(capsys, which, message, tmp_path / "case.solution.csv")
 
 
 def test_solve_parse_error_exit(tmp_path, capsys):
@@ -305,8 +327,10 @@ def test_analyze_square(tmp_path, capsys):
 
 
 def test_analyze_h1_violation(tmp_path, capsys):
-    path = write_problem(tmp_path, "f = u-1\na = t^2\n")
-    assert cli.main(["analyze", path]) == 2
+    for f, message in NEGATIVE_F.items():
+        path = write_problem(tmp_path, f"f = {f}\na = t^2\n")
+        assert cli.main(["analyze", path, "--out", str(tmp_path / "out")]) == 2
+        assert_refused(capsys, "H1", message, tmp_path / "out")
 
 
 def test_analyze_overflowing_superlinear(tmp_path, capsys):
@@ -345,13 +369,16 @@ def test_unevaluable_weight_is_h2_violation(tmp_path, capsys, command):
     for a, message in H2_FAILURES.items():
         path = write_problem(tmp_path, f"f = 1-exp(-u)\na = {a}\n")
         assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: hypothesis H2 violated: {message}"]
-        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert_refused(capsys, "H2", message, tmp_path / "out")
 
 
 # a fails at one point only: an abscissa of beta's rule on [theta, 1 - theta]
-# (theta = 0.25), or node 1 of a 3200-interval grid
+# (theta = 0.25), or node 1 of a 3200-interval grid; or at that abscissa and
+# at t = 0.5, a uniform H2 point, where the error names the smaller t
+TWO_POLES = ("0.1 + 0.000000000000000000000000000001/(t-0.25125)^2"
+             " + 0.000000000000000000000000000001/(t-0.5)^2")
+
+
 @pytest.mark.parametrize(
     "command, text, t",
     [
@@ -359,8 +386,11 @@ def test_unevaluable_weight_is_h2_violation(tmp_path, capsys, command):
         ("solve", "a = 0.1 + 0.000000000000000000000000000001/(t-0.25125)^2\n", "0.25125"),
         ("solve", "a = 0.1 + 0.000000000000000000000000000001/(t-0.0003125)^2\n"
                   "grid_n = 3200\n", "0.0003125"),
+        ("analyze", f"a = {TWO_POLES}\n", "0.25125"),
+        ("solve", f"a = {TWO_POLES}\n", "0.25125"),
     ],
-    ids=["analyze-beta-abscissa", "solve-beta-abscissa", "solve-grid-node"],
+    ids=["analyze-beta-abscissa", "solve-beta-abscissa", "solve-grid-node",
+         "analyze-two-poles", "solve-two-poles"],
 )
 def test_weight_failing_at_one_sample_exits_2(tmp_path, capsys, command, text, t):
     path = write_problem(tmp_path, "f = 0.5*u/(1+u) + 0.3\n" + text)
@@ -372,24 +402,35 @@ def test_weight_failing_at_one_sample_exits_2(tmp_path, capsys, command, text, t
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 
+UNDEFINED_AT_ZERO = {
+    "1/u": "f cannot be evaluated at u = 0: division by zero at offset 1",
+    "exp(-1/u)": "f cannot be evaluated at u = 0: division by zero at offset 6",
+}
+
+
 @pytest.mark.parametrize(
-    "command, text, code",
+    "command, text, code, err",
     [
         # f(u0) ~ 1.8e308 is finite, but f overflows where Newton probes f'
-        ("solve", "f = exp(u)\na = t^2\ngrid_n = 40\nu0 = constant 709.7825\n", 4),
+        ("solve", "f = exp(u)\na = t^2\ngrid_n = 40\nu0 = constant 709.7825\n", 4, ""),
         # f overflows at a midpoint of the rho1 bisection
-        ("analyze", "f = u*exp(10000*(u-705))\na = t^2\n", 0),
+        ("analyze", "f = u*exp(10000*(u-705))\na = t^2\n", 0, ""),
         # f cannot be evaluated at u = 0: H1 fails
-        ("analyze", "f = 1/u\na = t^2\n", 2),
-        ("analyze", "f = exp(-1/u)\na = t^2\n", 2),
+        ("analyze", "f = 1/u\na = t^2\n", 2,
+         f"error: hypothesis H1 violated: {UNDEFINED_AT_ZERO['1/u']}\n"),
+        ("analyze", "f = exp(-1/u)\na = t^2\n", 2,
+         f"error: hypothesis H1 violated: {UNDEFINED_AT_ZERO['exp(-1/u)']}\n"),
     ],
     ids=["solve-newton-probe", "analyze-rho1-bisection", "analyze-f-at-zero-pole",
          "analyze-f-at-zero-exp"],
 )
-def test_failing_f_evaluation_exits_cleanly(tmp_path, capsys, command, text, code):
+def test_failing_f_evaluation_exits_cleanly(tmp_path, capsys, command, text, code, err):
     path = write_problem(tmp_path, text)
     assert cli.main([command, path, "--out", str(tmp_path / "out")]) == code
-    assert capsys.readouterr().err == ""
+    captured = capsys.readouterr()
+    assert captured.err == err
+    # a refused problem prints no report and writes no file
+    assert (captured.out == "") == (code == 2) and (tmp_path / "out").exists() == (code != 2)
 
 
 @pytest.mark.parametrize("command", ["analyze", "solve"])
@@ -397,8 +438,7 @@ def test_failing_f_evaluation_exits_cleanly(tmp_path, capsys, command, text, cod
 def test_f_undefined_at_zero_fails_h1(tmp_path, capsys, command, f):
     path = write_problem(tmp_path, f"f = {f}\na = t^2\n")
     assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 2
-    captured = capsys.readouterr()
-    assert "hypothesis_h1 = false" in captured.out and captured.err == ""
+    assert_refused(capsys, "H1", UNDEFINED_AT_ZERO[f], tmp_path / "out")
 
 
 def test_solve_overflow_of_A_only_at_initial_guess(tmp_path, capsys):
@@ -446,6 +486,32 @@ def test_analyze_out_file(tmp_path, capsys):
     report = tmp_path / "analysis.txt"
     assert cli.main(["analyze", path, "--out", str(report)]) == 0
     assert "alpha = " in report.read_text()
+
+
+def test_analyze_f_near_float_limit_is_quiet(tmp_path, capsys):
+    # f(u)/u overflows on the f0 schedule: the ratio reads inf, without a warning
+    path = write_problem(tmp_path, "f = 1e300*u + 1e300\na = t\n")
+    assert cli.main(["analyze", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "f0 = inf (not converged)" in captured.out
+
+
+@pytest.mark.parametrize("command, a_evals", [("solve", 4), ("analyze", 1)])
+def test_evaluations_per_command(tmp_path, capsys, monkeypatch, command, a_evals):
+    # solve reads a in the gate's context, Picard's residual, the oracle and
+    # the CSV rows; analyze only in the gate's context.  The H1 probe runs once.
+    calls = []
+    evaluate = ExpressionFn.__call__
+
+    def counting_call(fn, x):
+        calls.append((fn.source, np.size(x)))
+        return evaluate(fn, x)
+
+    monkeypatch.setattr(ExpressionFn, "__call__", counting_call)
+    fixture = resources.files("beambvp.fixtures").joinpath("example_a.problem")
+    assert cli.main([command, str(fixture), "--out", str(tmp_path / "out")]) == 0
+    assert sum(source == "t^2" for source, _ in calls) == a_evals
+    assert calls.count(("u*(1-exp(-u))", hypotheses.SCAN_POINTS + 1)) == 1
 
 
 # --- reproduce-examples -----------------------------------------------------

@@ -160,23 +160,33 @@ def test_unbounded_sublinear_certificate(ctx_t2):
 def test_h1_h2_for_example_data():
     report = check_h1_h2(F_SATURATING, A_QUADRATIC)
     assert report.h1 and report.h2
-    assert report.alpha == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert report.ctx.alpha == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def _violation(f, a):
+    with pytest.raises(HypothesisViolation) as exc:
+        check_h1_h2(f, a)
+    return exc.value
 
 
 def test_h1_fails_for_negative_f():
     # 1/u: f is not defined on all of [0, inf)
-    for text in ("u-1", "1/u"):
-        assert not check_h1_h2(parse(text, "u"), A_QUADRATIC).h1
+    for text, message in (("u-1", "f(0.0) = -1.0 < 0"),
+                          ("1/u", "f cannot be evaluated at u = 0: division by zero at offset 1")):
+        exc = _violation(parse(text, "u"), A_QUADRATIC)
+        assert exc.which == "H1" and str(exc) == f"hypothesis H1 violated: {message}"
 
 
 def test_h2_fails_for_unit_mass():
-    report = check_h1_h2(F_SATURATING, parse("2*t", "t"))
-    assert not report.h2
-    assert report.alpha == pytest.approx(1.0, abs=1e-14)
+    exc = _violation(F_SATURATING, parse("2*t", "t"))
+    assert exc.which == "H2" and "total mass of a over [0,1] is 1.0," in str(exc)
 
 
 def test_h2_fails_for_negative_weight():
-    assert not check_h1_h2(F_SATURATING, parse("t-1/2", "t")).h2
+    # H2 is checked first: an f breaking H1 as well does not change the verdict
+    for f in (F_SATURATING, parse("u-1", "u")):
+        exc = _violation(f, parse("t-1/2", "t"))
+        assert exc.which == "H2" and str(exc) == "hypothesis H2 violated: a(0.0) = -0.5 < 0"
 
 
 def test_h1_tolerates_overflow():
@@ -185,8 +195,9 @@ def test_h1_tolerates_overflow():
 
 
 def test_h1_scan_continues_past_failures():
-    # f fails near u = 0 (division by zero, exp overflow) and is negative beyond
-    assert not check_h1_h2(parse("exp(1/u)-2", "u"), A_QUADRATIC).h1
+    # f overflows on about (0.23, 0.77) and is negative from just above u = 1
+    exc = _violation(parse("exp(4000*u*(1-u)) - u", "u"), A_QUADRATIC)
+    assert exc.which == "H1" and str(exc).startswith("hypothesis H1 violated: f(1.00207")
 
 
 def test_schedule_keeps_samples_before_first_failure():

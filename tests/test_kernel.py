@@ -150,7 +150,9 @@ def test_sample_weight_names_the_smallest_failing_t():
     weight = parse("t-1/2", "t")
     with pytest.raises(HypothesisViolation, match=r"a\(0\.25\) = -0\.25 < 0"):
         sample_weight(weight, np.array([0.75, 0.3]), np.array([0.25]))
-    assert sample_weight(weight, np.array([0.25]), nonneg=False)[0].tolist() == [-0.25]
+    # no sampling skips the sign check
+    with pytest.raises(HypothesisViolation, match=r"a\(0\.25\) = -0\.25 < 0"):
+        sample_weight(weight, np.array([0.25]))
 
 
 # the modified kernel is H(t, s) = G(t, s) + c(s), with c from correction_values
