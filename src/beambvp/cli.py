@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 lemma violation, 2 hypothesis violation,
 3 parse or usage error (an unreadable input or unwritable output
-included), 4 solver non-convergence.
+included), 4 solver non-convergence, or a converged Picard solve and
+oracle that disagree.
 
 Problem files are flat ``key = value`` text with ``#`` comments; keys
 are f, a, theta, grid_n, quad_panels, tol, max_iter, u0.  All reals in
@@ -295,39 +296,56 @@ def cmd_verify_lemmas(args) -> int:
 # solve
 
 
-def _solution_csv_rows(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> np.ndarray:
+def _solution_csv_rows(u: GridFunction, f: ExpressionFn, ctx: KernelContext,
+                       report: Optional[solver.SolveReport] = None) -> np.ndarray:
+    """Rows t, u, A u and the fourth-difference residual; a column that f or
+    A overflows at u stays nan.  With ``report`` (Picard's, for u) the A u and
+    residual columns are read from it, and nothing is evaluated."""
     n = u.n
-    au, residual = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
-    try:  # diverged iterates can overflow f or A; those columns stay nan
-        fvals, au_vals, _ = solver._diagnose(u, f, ctx, operator_matrix(ctx, n))
-        au = au if au_vals is None else au_vals
-        aw = solver._nonlocal_weights(ctx, n)
-        residual[2:-2] = solver._ode_defects(u, fvals[2:-2], aw)[2:-2]
-    except ExprEvalError:
-        pass
-    return np.column_stack((u.ts, u.values, au, residual))
+    if report is None:
+        try:
+            fvals, au, _ = solver._diagnose(u, f, ctx, operator_matrix(ctx, n))
+            defects = solver._ode_defects(u, fvals[2:-2], solver._nonlocal_weights(ctx, n))
+        except ExprEvalError:
+            au, defects = None, None
+    else:
+        au, defects = report.au, report.ode_defects
+    residual = np.full(n + 1, np.nan)
+    if defects is not None:
+        residual[2:-2] = defects[2:-2]
+    return np.column_stack((u.ts, u.values, np.full(n + 1, np.nan) if au is None else au, residual))
 
 
 def _solve_problem(problem: ProblemFile, h1h2, u0_override: Optional[str], out_path,
                    plot_path: Optional[str] = None) -> tuple[dict, int]:
     """Solve, cross-check, write the CSVs and print the summary; shared by
-    cmd_solve and cmd_reproduce_examples.  Returns the outcome and exit code."""
+    cmd_solve and cmd_reproduce_examples.  Returns the outcome and exit code.
+
+    The oracle runs on ``solver.oracle_grid(n)`` intervals and is compared
+    with Picard on its nodes; when both converge farther apart than
+    ``solver.agreement_bound``, they found different fixed points (exit 4)."""
     ctx, config = h1h2.ctx, problem.config(u0_override)
     report = solver.picard_solve(problem.f, ctx, config)
-    colloc = solver.collocation_oracle(problem.f, ctx, config)
-    agreement = float(np.max(np.abs(report.solution.values - colloc.solution.values)))
-    bound_at_start = solver.norm_bound_check(config.initial_guess(), problem.f, ctx)
+    n_o = solver.oracle_grid(config.n)
+    colloc = solver.collocation_oracle(problem.f, ctx, dataclasses.replace(config, n=n_o))
+    u = report.solution
+    agreement = float(np.max(np.abs(u.values[:: config.n // n_o] - colloc.solution.values)))
     outcome = dict(
         h1h2=h1h2, ctx=ctx, config=config, report=report, colloc=colloc,
-        agreement=agreement, bound_at_start=bound_at_start,
+        agreement=agreement, bound_at_start=report.bound_at_start,
     )
-    rows = _solution_csv_rows(report.solution, problem.f, ctx)
+    rows = _solution_csv_rows(u, problem.f, ctx, report)
     _write_csv(out_path, ["t", "u", "Au", "fourth_diff_residual"], rows)
     if plot_path:
         _write_csv(plot_path, ["t", "u"], rows[:, :2])
     _print_solve_summary(problem, outcome)
     print(f"solution written to {out_path}")
     if report.status != "converged" or colloc.status != "converged":
+        return outcome, EXIT_NONCONVERGENCE
+    bound = solver.agreement_bound(report, colloc, ctx.alpha)
+    if agreement > bound:
+        print(f"error: Picard and the collocation oracle found different fixed points: "
+              f"oracle_agreement_sup {_fmt(agreement)} exceeds {_fmt(bound)}", file=sys.stderr)
         return outcome, EXIT_NONCONVERGENCE
     return outcome, EXIT_OK
 

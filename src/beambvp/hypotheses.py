@@ -79,7 +79,9 @@ def _ratio_schedule(f: ArrayFn, us: np.ndarray) -> LimitEstimate:
     with np.errstate(over="ignore"):  # f near the float limit at a small u: the ratio is inf
         samples = tuple(zip(us[:stop].tolist(), (fus / us)[:stop].tolist()))
     ratios = [r for _, r in samples]
-    if stop < len(us) or (ratios[-1] >= DIVERGENCE_LIMIT and ratios[-1] > ratios[-2]):
+    # an overflowed ratio (inf) has climbed past the limit, though inf > inf is false
+    if stop < len(us) or ratios[-1] == math.inf or (
+            ratios[-1] >= DIVERGENCE_LIMIT and ratios[-1] > ratios[-2]):
         return LimitEstimate(None, False, True, samples)
     converged = abs(ratios[-1] - ratios[-2]) < CONVERGENCE_RTOL * (1.0 + abs(ratios[-1]))
     return LimitEstimate(ratios[-1], converged, False, samples)

@@ -94,21 +94,38 @@ def operator_matrix(ctx: KernelContext, n: int) -> Callable[[np.ndarray], np.nda
             ends = np.stack([y[0:-1:2], y[1::2], y[2::2]])  # (basis, panel)
             j = np.zeros((4, panels + 1))  # Jm at the panel starts 0, d, ..., 1
             np.multiply(_PANEL_MOMENTS @ ends, local_scale, out=j[:, 1:])
+            term = np.empty(panels)
             for m, coeffs in enumerate(shift_coeffs):
-                if coeffs:
-                    terms = [c * j[k, :-1] for k, c in enumerate(coeffs)]
-                    j[m, 1:] += sum(terms[1:], terms[0])
+                if coeffs:  # the binomial shift: c_k J_k of the previous start, in order of k
+                    shift = coeffs[0] * j[0, :-1]
+                    for k, c in enumerate(coeffs[1:], start=1):
+                        shift += np.multiply(j[k, :-1], c, out=term)
+                    j[m, 1:] += shift
                 # summed from the leading 0, a -0.0 term adds what +0.0 would
                 np.add.accumulate(j[m], out=j[m])
-            j0, j1, j2, j3 = (row.take(p) for row in j)
-            j3 = j3 + dx * (3.0 * j2 + dx * (3.0 * j1 + dx * j0))
-            j3 += d4 * np.einsum("bk,bk->k", moment3, y.take(panel_ends))
-            v = (cube * j[2, -1] - j3) / 6.0
+            # J3 at the in-panel points: its panel start's J0..J3 shifted by dx (Horner)
+            jp = j.take(p, axis=1)
+            v = jp[0]
+            v *= dx
+            for m in (1, 2):
+                jp[m] *= 3.0
+                v += jp[m]
+                v *= dx
+            v += jp[3]
+            tail = np.einsum("bk,bk->k", moment3, y.take(panel_ends))
+            tail *= d4
+            v += tail
+            np.subtract(cube * j[2, -1], v, out=v)
+            v /= 6.0
             u = np.empty(n + 1)
-            u[0:n:2] = (start_cube * j[2, -1] - j[3, :-1]) / 6.0
+            even = u[0:n:2]
+            np.multiply(start_cube, j[2, -1], out=even)
+            even -= j[3, :-1]
+            even /= 6.0
             u[1::2] = v[:panels]
             u[n] = v[panels]
-            return u + ctx.tau_weights @ v[panels + 1 :]
+            u += ctx.tau_weights @ v[panels + 1 :]
+            return u
 
     return apply
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from beambvp import cli, hypotheses
-from beambvp.exprlang import ExpressionFn
+from beambvp import cli, hypotheses, linear, solver
+from beambvp.exprlang import ExpressionFn, parse
 from beambvp.grid import GridFunction
 
 PROBE = """\
@@ -234,6 +234,75 @@ def test_solve_zero_guess_is_not_a_false_oracle_pass(tmp_path, capsys):
     assert code == 4 or agreement < 1e-6 * norm
 
 
+# --- the cross-check gate ---------------------------------------------------
+
+DISAGREEING = "f = u^2\na = 0.9*t^2\nu0 = constant 100\n"
+CONTRACTIVE = {
+    "rational": "f = 0.5*u/(1+u) + 0.3\na = 0.9*t^2\n",
+    "hump": "f = 3.1*u*exp(-1.2*u) + 0.4\na = 0.45*t\n",
+    "saturating": "f = 0.2*u^2/(1+u^2) + 1\na = 0.5*t^3\n",
+    # a steep f with a small solution: the oracle's rounding, not h^3, sets
+    # its error at n_o = 400 (agreement 5.5e-8, ||u|| = 0.024)
+    "steep": "f = 50*u/(1+u) + 1\na = 0.5*t\n",
+}
+
+
+# 422 = 2 * 211 has no even divisor in [20, 400], so the oracle runs at full n;
+# 1800 runs it at 360
+@pytest.mark.parametrize("n", [422, 800, 1800, 12800])
+def test_solve_exits_4_when_the_methods_find_different_fixed_points(tmp_path, capsys, n):
+    # Picard falls to u = 0 from u0 = 100; the oracle finds the positive solution
+    out_csv = tmp_path / "u.csv"
+    path = write_problem(tmp_path, DISAGREEING + f"grid_n = {n}\n")
+    assert cli.main(["solve", path, "--out", str(out_csv)]) == 4
+    captured = capsys.readouterr()
+    assert _summary_value(captured.out, "status") == "converged"
+    assert _summary_value(captured.out, "collocation_status") == "converged"
+    assert float(_summary_value(captured.out, "oracle_agreement_sup")) > 300.0
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "found different fixed points" in err[0]
+    assert len(read_csv(out_csv)[1]) == n + 1  # the report is still written
+
+
+@pytest.mark.parametrize("text", CONTRACTIVE.values(), ids=CONTRACTIVE.keys())
+def test_solve_contractive_problems_agree_at_large_n(tmp_path, capsys, text):
+    path = write_problem(tmp_path, text + "grid_n = 12800\n")
+    assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 0
+    out = capsys.readouterr().out
+    agreement = float(_summary_value(out, "oracle_agreement_sup"))
+    # the oracle at n_o = 400: 1.3e-7 relative, 2.3e-6 on steep (rounding)
+    relative = 3e-6 if "50*u" in text else 2e-7
+    assert agreement < relative * float(_summary_value(out, "solution_sup_norm"))
+
+
+def test_solve_example_a_agrees_at_102400(tmp_path, capsys):
+    # the full-n oracle stagnated here (agreement 0.084); at n_o = 400 it agrees
+    text = resources.files("beambvp.fixtures").joinpath("example_a.problem").read_text()
+    assert "grid_n = 800\n" in text
+    path = write_problem(tmp_path, text.replace("grid_n = 800\n", "grid_n = 102400\n"))
+    assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 0
+    out = capsys.readouterr().out
+    assert _summary_value(out, "collocation_status") == "converged"
+    assert float(_summary_value(out, "oracle_agreement_sup")) < 1e-9
+
+
+@pytest.mark.parametrize("text", CONTRACTIVE.values(), ids=CONTRACTIVE.keys())
+def test_solve_loose_tol_agrees(tmp_path, capsys, text):
+    # tol = 1e-4 stops Picard up to ~1e-5 from the fixed point, far above
+    # the oracle's h^3 error; the bound counts Picard's own stopping error
+    path = write_problem(tmp_path, text + "grid_n = 800\ntol = 1e-4\n")
+    assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_trivial_solution_at_the_oracle_floor_agrees(tmp_path, capsys):
+    # Picard reaches u = 0; the oracle stops once its defect is below 1e-6,
+    # at ||u_o|| = 5e-9, which the bound counts through its residual
+    text = "f = 4.8823*u^2 + 0.3362*u^3\na = 1.0811*t^2\ngrid_n = 20\nu0 = constant 1\n"
+    assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")]) == 0
+    assert float(_summary_value(capsys.readouterr().out, "oracle_agreement_sup")) > 1e-9
+
+
 def test_solve_huge_initial_guess(tmp_path, capsys):
     text = "f = 1+u\na = t^2\ngrid_n = 200\nu0 = constant 1e300\n"
     code = cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")])
@@ -454,6 +523,49 @@ def test_solve_overflow_of_A_only_at_initial_guess(tmp_path, capsys):
     assert all(row[2] == "nan" for row in rows)
 
 
+def test_solve_builds_one_operator(tmp_path, capsys, monkeypatch):
+    # Picard builds the operator; the start bound and the CSV rows read its report
+    builds = []
+    build = linear.operator_matrix
+
+    def counting_build(ctx, n):
+        builds.append(n)
+        return build(ctx, n)
+
+    for module in (linear, solver, cli):
+        monkeypatch.setattr(module, "operator_matrix", counting_build)
+    fixture = resources.files("beambvp.fixtures").joinpath("example_a.problem")
+    assert cli.main(["solve", str(fixture), "--out", str(tmp_path / "out")]) == 0
+    assert builds == [800]
+
+
+CSV_CASES = {
+    "converged": ("1+u", 1.0),
+    "A-overflows": ("exp(u)", 709.7825),  # f(u0) ~ 1.8e308 is finite, A f(u0) is not
+    "f-fails": ("0.001*exp(u)", 800.0),
+}
+
+
+@pytest.mark.parametrize("f_text, u0", CSV_CASES.values(), ids=CSV_CASES.keys())
+def test_solution_csv_rows_from_report_match_recomputed(tmp_path, ctx_t2, f_text, u0):
+    f = parse(f_text, "u")
+    report = solver.picard_solve(f, ctx_t2, solver.SolveConfig(n=40, u0=u0))
+
+    def unused_f(us):
+        raise AssertionError("the rows from the report evaluated f")
+
+    tables = {
+        "recomputed": cli._solution_csv_rows(report.solution, f, ctx_t2),
+        "report": cli._solution_csv_rows(report.solution, unused_f, ctx_t2, report),
+    }
+    for name, rows in tables.items():
+        cli._write_csv(str(tmp_path / f"{name}.csv"), ["t", "u", "Au", "fourth_diff_residual"], rows)
+    assert (tmp_path / "recomputed.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+    _, rows = read_csv(tmp_path / "report.csv")
+    assert all(row[2] == "nan" for row in rows) == (f_text != "1+u")
+    assert all(row[3] == "nan" for row in rows) == (f_text == "0.001*exp(u)")
+
+
 def test_solution_csv_rows_evaluate_f_once(ctx_t2):
     calls = []
 
@@ -493,13 +605,14 @@ def test_analyze_f_near_float_limit_is_quiet(tmp_path, capsys):
     path = write_problem(tmp_path, "f = 1e300*u + 1e300\na = t\n")
     assert cli.main(["analyze", path]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "" and "f0 = inf (not converged)" in captured.out
+    assert captured.err == "" and "f0 = divergent" in captured.out
 
 
-@pytest.mark.parametrize("command, a_evals", [("solve", 4), ("analyze", 1)])
+@pytest.mark.parametrize("command, a_evals", [("solve", 3), ("analyze", 1)])
 def test_evaluations_per_command(tmp_path, capsys, monkeypatch, command, a_evals):
-    # solve reads a in the gate's context, Picard's residual, the oracle and
-    # the CSV rows; analyze only in the gate's context.  The H1 probe runs once.
+    # solve reads a in the gate's context, on Picard's grid and on the oracle's
+    # grid (the CSV rows read Picard's report); analyze only in the gate's
+    # context.  The H1 probe runs once.
     calls = []
     evaluate = ExpressionFn.__call__
 

@@ -9,13 +9,14 @@ from beambvp.grid import GridFunction
 from beambvp.hypotheses import check_h1_h2
 from beambvp.kernel import make_context
 from beambvp.linear import cone_ratio, operator_matrix
-from beambvp import quadrature
+from beambvp import quadrature, solver
 from beambvp.solver import (
     BoundCheck,
     SolveConfig,
     _collocation_system,
     _f_derivative,
     _newton_step,
+    agreement_bound,
     apply_A,
     collocation_oracle,
     interior_tolerance,
@@ -126,12 +127,12 @@ def test_weight_evaluated_once_per_operator(ctx_t2):
         calls.clear()
         report = picard_solve(f, ctx, SolveConfig(n=400, u0=u0))
         assert report.iterations == iterations
-        assert len(calls) == 1  # the nodes in residual_ode
+        assert len(calls) == 1  # the grid nodes, for the ODE rows
 
 
 def test_picard_evaluates_f_once_per_iterate(ctx_t2):
-    # one f evaluation per iteration and one for the final diagnostics, which
-    # the ODE residual reads too
+    # one f evaluation per iteration (the first also gives the start bound) and
+    # one for the final diagnostics, which the ODE residual reads too
     calls = []
 
     def counting_f(us):
@@ -140,6 +141,69 @@ def test_picard_evaluates_f_once_per_iterate(ctx_t2):
 
     report = picard_solve(counting_f, ctx_t2, SolveConfig(n=400, u0=1.0))
     assert report.iterations == 6 and len(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "f_text, u0, status",
+    [("1+u", 1.0, "converged"), ("exp(u)", 709.7825, "diverged"),
+     ("0.001*exp(u)", 800.0, "diverged")],
+    ids=["converged", "A-overflows", "f-fails"],
+)
+def test_picard_report_carries_its_diagnosis(ctx_t2, f_text, u0, status):
+    # the start bound, A u and the ODE rows, as the separate calls compute them
+    f, config = parse(f_text, "u"), SolveConfig(n=40, u0=u0)
+    report = picard_solve(f, ctx_t2, config)
+    assert report.status == status
+    assert report.bound_at_start == norm_bound_check(config.initial_guess(), f, ctx_t2)
+    u = report.solution
+    if f_text == "0.001*exp(u)":
+        assert report.au is None and report.ode_defects is None
+        return
+    fvals = f(u.values)
+    au = operator_matrix(ctx_t2, 40)(fvals)
+    assert (report.au is None) == (not np.isfinite(au).all())
+    if report.au is not None:
+        assert np.array_equal(report.au, au)
+    aw = solver._nonlocal_weights(ctx_t2, 40)
+    assert np.array_equal(report.ode_defects, solver._ode_defects(u, fvals[2:-2], aw))
+    assert report.residual_ode == residual_ode(u, f, ctx_t2)
+
+
+@pytest.mark.parametrize(
+    "n, n_o",
+    [(20, 20), (402, 134), (422, 422), (800, 400), (1000, 250), (1600, 400), (1800, 360),
+     (3000, 300), (51200, 400)],
+)
+def test_oracle_grid(n, n_o):
+    # the largest even divisor of n in [20, 400]; n itself when there is none
+    assert solver.oracle_grid(n) == n_o
+
+
+def test_agreement_bound_covers_picard_stopping_error(ctx_t2):
+    # tol = 1e-4 leaves Picard ~1e-5 from its fixed point, far above the
+    # oracle's discretization error; 2 r / (1 - theta) covers the distance
+    f = parse("50*u/(1+u) + 1", "u")
+    loose = picard_solve(f, ctx_t2, SolveConfig(n=400, tol=1e-4))
+    exact = picard_solve(f, ctx_t2, SolveConfig(n=400, tol=1e-14)).solution
+    oracle = solver.CollocationResult(
+        solution=exact, status="converged", iterations=0, residual=0.0,
+        residual_trace=[0.0], halvings=[],
+    )
+    error = float(np.max(np.abs(loose.solution.values - exact.values)))
+    discretization = (100.0 / 400**3 + 10.0 * np.finfo(float).eps * 400**4) * exact.sup_norm()
+    assert discretization < error <= agreement_bound(loose, oracle, ctx_t2.alpha)
+
+
+def test_agreement_bound_counts_the_oracle_defect(ctx_t2):
+    # both at u = 0 but for the oracle's final defect, in D4 units times n^4
+    zero = GridFunction(20, np.zeros(21))
+    picard = picard_solve(parse("u^2", "u"), ctx_t2, SolveConfig(n=20))
+    assert picard.residual_integral == 0.0 and picard.solution.sup_norm() == 0.0
+    oracle = solver.CollocationResult(
+        solution=zero, status="converged", iterations=0, residual=1e-12,
+        residual_trace=[1e-12], halvings=[],
+    )
+    assert agreement_bound(picard, oracle, ctx_t2.alpha) == 2.0 * 1e-12 * 20**4 / 48.0
 
 
 @pytest.mark.parametrize(
