@@ -37,7 +37,7 @@ import numpy as np
 
 from . import csvtext, hypotheses, kernel, solver
 from .errors import HypothesisViolation
-from .exprlang import ExpressionFn, ExprEvalError, ExprSyntaxError, parse
+from .exprlang import ExpressionFn, ExprSyntaxError, parse
 from .grid import GridFunction
 from .kernel import KernelContext
 from .linear import cone_ratio, operator_matrix
@@ -303,11 +303,8 @@ def _solution_csv_rows(u: GridFunction, f: ExpressionFn, ctx: KernelContext,
     residual columns are read from it, and nothing is evaluated."""
     n = u.n
     if report is None:
-        try:
-            fvals, au, _ = solver._diagnose(u, f, ctx, operator_matrix(ctx, n))
-            defects = solver._ode_defects(u, fvals[2:-2], solver._nonlocal_weights(ctx, n))
-        except ExprEvalError:
-            au, defects = None, None
+        fvals, au = solver.apply_A(u, f, operator_matrix(ctx, n))
+        defects = solver._ode_defects(u, fvals, ctx)
     else:
         au, defects = report.au, report.ode_defects
     residual = np.full(n + 1, np.nan)

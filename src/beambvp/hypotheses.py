@@ -42,6 +42,8 @@ RHO1_CAP = 1e3
 RHO1_MIN = 1e-6
 BOUNDEDNESS_CAP = 1e6
 MARGIN_SLACK = 1e-12
+F0_SCHEDULE = tuple(10.0**-k for k in range(1, 13))  # u = 10^-k, k = 1..12
+FINF_SCHEDULE = tuple(10.0**k for k in range(1, 9))  # u = 10^k, k = 1..8
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 
@@ -88,13 +90,13 @@ def _ratio_schedule(f: ArrayFn, us: np.ndarray) -> LimitEstimate:
 
 
 def estimate_f0(f: ArrayFn) -> LimitEstimate:
-    """f(u)/u along u = 10^-k, k = 1..12."""
-    return _ratio_schedule(f, np.array([10.0**-k for k in range(1, 13)]))
+    """f(u)/u along ``F0_SCHEDULE``, u = 10^-k, k = 1..12."""
+    return _ratio_schedule(f, np.array(F0_SCHEDULE))
 
 
 def estimate_finf(f: ArrayFn) -> LimitEstimate:
-    """f(u)/u along u = 10^k, k = 1..8."""
-    return _ratio_schedule(f, np.array([10.0**k for k in range(1, 9)]))
+    """f(u)/u along ``FINF_SCHEDULE``, u = 10^k, k = 1..8."""
+    return _ratio_schedule(f, np.array(FINF_SCHEDULE))
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,14 @@ def _scan_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
 def _probe() -> np.ndarray:
     """u = 0, then the scan grid over [1e-9, 1e6]: the H1 and boundedness probe."""
     us = np.concatenate(([0.0], _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))))
+    us.setflags(write=False)
+    return us
+
+
+@functools.cache
+def _h1_probe() -> np.ndarray:
+    """The probe, then both limit schedules: every point where f's sign is read."""
+    us = np.concatenate((_probe(), F0_SCHEDULE, FINF_SCHEDULE))
     us.setflags(write=False)
     return us
 
@@ -225,11 +235,12 @@ def check_h1_h2(f: ArrayFn, a: ArrayFn, quad: QuadratureSettings = quadrature.DE
 
     H2 first: :func:`kernel.make_context` checks it and builds the returned
     context.  H1: f is defined at u = 0 and f >= 0 at 1e4 scan points of
-    [0, 1e6] (continuity comes from the expression grammar; other points
+    [0, 1e6] and on both limit schedules, so no later estimate finds a
+    negative f (continuity comes from the expression grammar; other points
     where f overflows are skipped, since overflow says magnitude, not sign).
     """
     ctx = kernel.make_context(a, theta=theta, quad=quad)
-    us = _probe()
+    us = _h1_probe()
     try:
         fvals = f(us)
     except ExprEvalError as exc:

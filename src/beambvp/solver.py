@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import NumericError, require_nonneg
+from .errors import require_nonneg
 from .exprlang import ExpressionFn, ExprEvalError
 from .grid import GridFunction, NONNEG_SLACK
 from .kernel import KernelContext, g_weight, sample_weight
@@ -74,8 +74,10 @@ class OdeResidual:
     bc: float  # max boundary-condition defect
 
     @classmethod
-    def of(cls, rows: np.ndarray) -> "OdeResidual":
-        """The maxima of the rows of :func:`_ode_defects`."""
+    def of(cls, rows: np.ndarray | None) -> "OdeResidual":
+        """The maxima of the rows of :func:`_ode_defects`; inf without rows (f failed)."""
+        if rows is None:
+            return cls(interior=math.inf, bc=math.inf)
         return cls(interior=float(np.max(rows[2:-2])), bc=float(np.max(rows[[0, 1, -2, -1]])))
 
 
@@ -84,13 +86,6 @@ class BoundCheck:
     bound: float
     au_norm: float
     holds: bool
-
-    @classmethod
-    def of(cls, au: np.ndarray | None, bound: float) -> "BoundCheck":
-        """The check of ||A u|| <= bound for ``_diagnose``'s A u and bound;
-        an overflowed A u (None) fails it with au_norm inf."""
-        au_norm = math.inf if au is None else float(np.max(np.abs(au)))
-        return cls(bound=bound, au_norm=au_norm, holds=au_norm <= bound + BOUND_SLACK)
 
 
 @dataclass(frozen=True)
@@ -136,15 +131,17 @@ def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
 
 def apply_A(
     u: GridFunction, f: ExpressionFn, op: Callable[[np.ndarray], np.ndarray]
-) -> GridFunction:
-    """One application of the integral operator, with ``op`` from
-    ``operator_matrix(ctx, u.n)``; output is >= 0 on the grid.  Build ``op``
-    once and pass it to every application on the same grid."""
-    fvals = _f_values(u, f)
-    out = op(fvals)
-    if not np.isfinite(out).all():
-        raise NumericError("operator application overflowed")
-    return GridFunction(u.n, out)
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One application of the integral operator: (f(u), A u) from one
+    evaluation of f, with ``op`` from ``operator_matrix(ctx, u.n)`` (build it
+    once per grid).  A u is >= 0 on the grid, and None where the apply
+    overflows; both are None where f fails at u.  Raises as ``_f_values``."""
+    try:
+        fvals = _f_values(u, f)
+    except ExprEvalError:
+        return None, None
+    au = op(fvals)
+    return fvals, au if np.isfinite(au).all() else None
 
 
 def interior_tolerance(n: int, u_norm: float) -> float:
@@ -163,52 +160,49 @@ def _nonlocal_weights(ctx: KernelContext, n: int) -> np.ndarray:
     return quadrature.grid_weights(n) * sample_weight(ctx.weight, np.linspace(0.0, 1.0, n + 1))[0]
 
 
-def _ode_defects(u: GridFunction, fvals: np.ndarray, aw: np.ndarray) -> np.ndarray:
-    """Absolute rows of ``_collocation_system`` in differential units:
-    |u'(0)|, |u''(0)|, |D4 u + f(u)| at nodes 2..n-2, |u'(1)| and
-    |u(0) - sum of aw u|."""
+def _ode_defects(
+    u: GridFunction, fvals: np.ndarray | None, ctx: KernelContext
+) -> np.ndarray | None:
+    """Absolute rows of ``_collocation_system`` at u, given fvals = f(u), in
+    differential units: |u'(0)|, |u''(0)|, |D4 u + f(u)| at nodes 2..n-2,
+    |u'(1)| and |u(0) - sum of aw u|; None where f failed (fvals None)."""
+    if fvals is None:
+        return None
     h = u.h
-    rows = np.abs(_collocation_system(u.values, fvals, aw, h))
+    rows = np.abs(_collocation_system(u.values, fvals[2:-2], _nonlocal_weights(ctx, u.n), h))
     rows[[0, -2]] /= h
     rows[1] /= h**2
     rows[2:-2] /= h**4
     return rows
 
 
-def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext, fvals=None) -> OdeResidual:
+def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeResidual:
     """Finite-difference defect of the differential form of the problem.
 
     interior: max over the interior stencil points of |D4 u + f(u)|.
     bc: max of |u'(0)|, |u'(1)|, |u''(0)| and |u(0) - integral a u|
-    (grid quadrature).  Needs n >= 9; ``fvals`` = f(u), when given, spares evaluating f.
+    (grid quadrature).  Needs n >= 9.
     """
     if u.n < 9:
         raise ValueError(f"grid too coarse for fourth differences: n={u.n} < 9")
-    fvals = _f_values(u, f) if fvals is None else fvals
-    return OdeResidual.of(_ode_defects(u, fvals[2:-2], _nonlocal_weights(ctx, u.n)))
+    return OdeResidual.of(_ode_defects(u, _f_values(u, f), ctx))
 
 
-def _diagnose(u: GridFunction, f: ExpressionFn, ctx: KernelContext, op: Callable) -> tuple:
-    """(f(u), A u by ``op`` or None where it overflows, the bound (1/(1-alpha))
-    * integral of g f(u) by grid quadrature) from one evaluation of f at the
-    iterate u; raises :class:`ExprEvalError` where f itself fails."""
-    fvals = _f_values(u, f)
-    au = op(fvals)
-    gf = np.dot(quadrature.grid_weights(u.n), g_weight(u.ts) * fvals)
-    return fvals, au if np.all(np.isfinite(au)) else None, float(gf) / (1.0 - ctx.alpha)
-
-
-_F_FAILED = BoundCheck(bound=math.inf, au_norm=math.inf, holds=False)  # f failed at u
+def _bound_check(u: GridFunction, fvals: np.ndarray | None, au: np.ndarray | None,
+                 ctx: KernelContext) -> BoundCheck:
+    """``norm_bound_check`` of u from ``apply_A``'s (f(u), A u) at u."""
+    if fvals is None:
+        return BoundCheck(bound=math.inf, au_norm=math.inf, holds=False)
+    bound = float(np.dot(quadrature.grid_weights(u.n), g_weight(u.ts) * fvals)) / (1.0 - ctx.alpha)
+    au_norm = math.inf if au is None else float(np.max(np.abs(au)))
+    return BoundCheck(bound=bound, au_norm=au_norm, holds=au_norm <= bound + BOUND_SLACK)
 
 
 def norm_bound_check(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> BoundCheck:
-    """Check ||A u|| <= (1/(1-alpha)) * integral of g f(u), with 1e-10 slack; an
-    overflow of A u fails it with au_norm inf, a failure of f with every field inf."""
-    try:
-        _, au, bound = _diagnose(u, f, ctx, operator_matrix(ctx, u.n))
-    except ExprEvalError:
-        return _F_FAILED
-    return BoundCheck.of(au, bound)
+    """Check ||A u|| <= (1/(1-alpha)) * integral of g f(u) (grid quadrature),
+    with 1e-10 slack; an overflow of A u fails it with au_norm inf, a failure
+    of f with every field inf."""
+    return _bound_check(u, *apply_A(u, f, operator_matrix(ctx, u.n)), ctx)
 
 
 def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> SolveReport:
@@ -216,55 +210,39 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
 
     Non-convergence within max_iter is reported via ``status``
     ("max_iter"); overflow or NaN during iteration yields "diverged" with
-    the last finite iterate.  Diagnostics are computed on the returned
-    iterate either way; those that f or A overflows read inf.  The first
-    step is ``_diagnose`` of the initial guess, so the report carries its
-    norm bound check at no extra f evaluation or application of A.  An a
-    that fails or is negative at a grid node raises
-    :class:`HypothesisViolation`.
+    the last finite iterate.  Each iterate, the initial guess and the
+    returned one included, costs one ``apply_A``, and the report is built
+    from the last: its norm bound, A u and ODE rows, which read inf (or
+    None) where f or A overflows.  An a that fails or is negative at a grid
+    node raises :class:`HypothesisViolation`.
     """
     op = operator_matrix(ctx, config.n)
     u = config.initial_guess()
-    try:
-        _, au, bound = _diagnose(u, f, ctx, op)
-        bound_at_start = BoundCheck.of(au, bound)
-    except ExprEvalError:
-        au, bound_at_start = None, _F_FAILED
-    next_u = None if au is None else GridFunction(config.n, au)
+    fvals, au = apply_A(u, f, op)
+    bound_at_start = _bound_check(u, fvals, au, ctx)
     deltas: list[float] = []
     status = "diverged"
-    while next_u is not None:
-        delta = float(np.abs(next_u.values - u.values).max())
-        deltas.append(delta)
-        u = next_u
-        if delta < config.tol:
+    while au is not None:
+        deltas.append(float(np.abs(au - u.values).max()))
+        u = GridFunction(config.n, au)
+        fvals, au = apply_A(u, f, op)
+        if deltas[-1] < config.tol:
             status = "converged"
             break
         if len(deltas) == config.max_iter:
             status = "max_iter"
             break
-        try:
-            next_u = apply_A(u, f, op)
-        except (ExprEvalError, NumericError):
-            next_u = None
 
-    try:
-        fvals, au, bound = _diagnose(u, f, ctx, op)
-        res_int = math.inf if au is None else float(np.max(np.abs(u.values - au)))
-        defects = _ode_defects(u, fvals[2:-2], _nonlocal_weights(ctx, u.n))
-        res_ode = OdeResidual.of(defects)
-    except ExprEvalError:
-        au, defects = None, None
-        res_int, res_ode, bound = math.inf, OdeResidual(math.inf, math.inf), math.inf
+    defects = _ode_defects(u, fvals, ctx)
     return SolveReport(
         solution=u,
         iterations=len(deltas),
         delta_trace=deltas,
-        residual_integral=res_int,
-        residual_ode=res_ode,
+        residual_integral=math.inf if au is None else float(np.max(np.abs(u.values - au))),
+        residual_ode=OdeResidual.of(defects),
         cone=cone_ratio(u, ctx),
         trivial=status != "diverged" and u.sup_norm() < TRIVIALITY_THRESHOLD,
-        norm_bound=bound,
+        norm_bound=_bound_check(u, fvals, au, ctx).bound,
         status=status,
         au=au,
         ode_defects=defects,
@@ -294,14 +272,17 @@ def agreement_bound(report: SolveReport, colloc: CollocationResult, alpha: float
     is Picard's residual and theta = r / (its last step), at most 0.999,
     its contraction; d_o bounds the oracle's error from its final defect,
     its residual in D4 units (times n_o^4) over 72 (1 - alpha), the bound
-    on ||A||.  On about 140 problems of seven f families, measured
-    agreement stayed below half of the bound for tol from 1e-10 to 1e-4
-    and n_o from 20 to 4006."""
+    on ||A||; the residual counts as at least the smallest subnormal, since
+    h_o^4 f can underflow in the scaled rows, where a residual of 0 proves
+    nothing.  On about 140 problems of seven f families, measured agreement
+    stayed below half of the bound for tol from 1e-10 to 1e-4 and n_o from
+    20 to 4006."""
     n_o = colloc.solution.n
     u_norm = max(report.solution.sup_norm(), colloc.solution.sup_norm())
     r = report.residual_integral
     theta = min(r / report.delta_trace[-1], 0.999) if r > 0 else 0.0
-    d_o = colloc.residual * float(n_o) ** 4 / (72.0 * (1.0 - alpha))
+    residual = max(colloc.residual, np.finfo(float).smallest_subnormal)
+    d_o = residual * float(n_o) ** 4 / (72.0 * (1.0 - alpha))
     discretization = 100.0 / float(n_o) ** 3 + 10.0 * np.finfo(float).eps * float(n_o) ** 4
     return discretization * u_norm + 2.0 * (r + d_o) / (1.0 - theta)
 

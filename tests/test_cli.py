@@ -176,10 +176,12 @@ def test_solve_plot_data(tmp_path, capsys):
     assert len(rows) == 201
 
 
-# f >= 0 fails first at u = 0, or only on (49, 51), inside the H1 probe
+# f >= 0 fails first at u = 0, only on (49, 51) inside the H1 probe's scan, or
+# only past its 1e6, at the last point of the finf schedule
 NEGATIVE_F = {
     "u-1": "f(0.0) = -1.0 < 0",
     "(u-50)^2 - 1": "f(49.15516484961497) = -0.28625356867390306 < 0",
+    "1e7 - u": "f(100000000.0) = -90000000.0 < 0",
 }
 
 
@@ -301,6 +303,17 @@ def test_solve_trivial_solution_at_the_oracle_floor_agrees(tmp_path, capsys):
     text = "f = 4.8823*u^2 + 0.3362*u^3\na = 1.0811*t^2\ngrid_n = 20\nu0 = constant 1\n"
     assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")]) == 0
     assert float(_summary_value(capsys.readouterr().out, "oracle_agreement_sup")) > 1e-9
+
+
+@pytest.mark.parametrize("load", ["1e-315", "1e-320"])
+def test_solve_tiny_load_agrees(tmp_path, capsys, load):
+    # h_o^4 f underflows in the oracle's scaled rows, so its residual reads 0;
+    # the bound counts it as the smallest subnormal (7.0e-315 at n_o = 400)
+    text = f"f = {load} + 0*u\na = t\n"
+    assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and _summary_value(captured.out, "collocation_residual") == "0"
+    assert 0.0 < float(_summary_value(captured.out, "oracle_agreement_sup")) < 1e-316
 
 
 def test_solve_huge_initial_guess(tmp_path, capsys):
@@ -624,7 +637,7 @@ def test_evaluations_per_command(tmp_path, capsys, monkeypatch, command, a_evals
     fixture = resources.files("beambvp.fixtures").joinpath("example_a.problem")
     assert cli.main([command, str(fixture), "--out", str(tmp_path / "out")]) == 0
     assert sum(source == "t^2" for source, _ in calls) == a_evals
-    assert calls.count(("u*(1-exp(-u))", hypotheses.SCAN_POINTS + 1)) == 1
+    assert calls.count(("u*(1-exp(-u))", len(hypotheses._h1_probe()))) == 1
 
 
 # --- reproduce-examples -----------------------------------------------------

@@ -253,3 +253,8 @@ def test_probe_grids_are_cached_read_only_and_bit_identical():
     assert probe.tobytes() == np.concatenate(([0.0], np.logspace(-9.0, 6.0, 10**4))).tobytes()
     with pytest.raises(ValueError):
         probe[0] = 1.0
+    # the H1 probe appends both limit schedules, so its first failure keeps its wording
+    h1 = hypotheses._h1_probe()
+    assert h1 is hypotheses._h1_probe() and not h1.flags.writeable
+    schedules = [u for u, _ in estimate_f0(F_BOUNDED).samples + estimate_finf(F_BOUNDED).samples]
+    assert h1[: len(probe)].tobytes() == probe.tobytes() and h1[len(probe):].tolist() == schedules

@@ -43,20 +43,20 @@ def oracle_grid(n):
 
 
 def test_apply_A_zero_nonlinearity(ctx_t2):
-    au = apply_A(GridFunction.constant(1.0, 200), F_ZERO, operator_matrix(ctx_t2, 200))
-    assert au.sup_norm() == 0.0
+    _, au = apply_A(GridFunction.constant(1.0, 200), F_ZERO, operator_matrix(ctx_t2, 200))
+    assert GridFunction(200, au).sup_norm() == 0.0
 
 
 def test_apply_A_constant_f_is_linear_solve(ctx_t2):
     op = operator_matrix(ctx_t2, 2000)
-    au = apply_A(GridFunction.constant(0.0, 2000), F_ONE, op)
+    au = GridFunction(2000, apply_A(GridFunction.constant(0.0, 2000), F_ONE, op)[1])
     exact = np.polynomial.polynomial.polyval(au.ts, ORACLE_Y1)
     assert float(np.max(np.abs(au.values - exact))) < 1e-8
 
 
 def test_apply_A_at_zero_with_vanishing_f(ctx_t2):
-    au = apply_A(GridFunction.constant(0.0, 400), F_BOUNDED, operator_matrix(ctx_t2, 400))
-    assert au.sup_norm() == 0.0
+    _, au = apply_A(GridFunction.constant(0.0, 400), F_BOUNDED, operator_matrix(ctx_t2, 400))
+    assert GridFunction(400, au).sup_norm() == 0.0
 
 
 def test_apply_A_rejects_negative_input(ctx_t2):
@@ -70,13 +70,26 @@ def test_apply_A_rejects_negative_f(ctx_t2):
     assert exc.value.which == "H1"
 
 
+@pytest.mark.parametrize(
+    "f_text, u0, f_fails",
+    [("exp(u)", 709.7825, False), ("0.001*exp(u)", 800.0, True)],
+    ids=["A-overflows", "f-fails"],
+)
+def test_apply_A_reports_failure_as_none(ctx_t2, f_text, u0, f_fails):
+    u = GridFunction.constant(u0, 40)
+    fvals, au = apply_A(u, parse(f_text, "u"), operator_matrix(ctx_t2, 40))
+    assert au is None and (fvals is None) == f_fails
+    if not f_fails:  # f(u0) ~ 1.8e308 is finite, A f(u0) is not
+        assert np.array_equal(fvals, parse(f_text, "u")(u.values))
+
+
 def test_apply_A_output_nonnegative(ctx_t2):
     rng = np.random.default_rng(23)
     op = operator_matrix(ctx_t2, 400)
     for f in (F_ONE, F_AFFINE, parse("u^2", "u")):
         for _ in range(5):
             u = GridFunction(400, rng.uniform(0.0, 1.0, 401))
-            assert apply_A(u, f, op).min() >= -1e-12
+            assert apply_A(u, f, op)[1].min() >= -1e-12
 
 
 # --- picard_solve ----------------------------------------------------------
@@ -130,17 +143,32 @@ def test_weight_evaluated_once_per_operator(ctx_t2):
         assert len(calls) == 1  # the grid nodes, for the ODE rows
 
 
-def test_picard_evaluates_f_once_per_iterate(ctx_t2):
-    # one f evaluation per iteration (the first also gives the start bound) and
-    # one for the final diagnostics, which the ODE residual reads too
-    calls = []
+@pytest.mark.parametrize(
+    "f_text, u0, max_iter, status, iterations",
+    [("1+u", 1.0, 500, "converged", 6), ("1+u", 1.0, 3, "max_iter", 3),
+     ("exp(u)", 709.7825, 500, "diverged", 0), ("0.001*exp(u)", 800.0, 500, "diverged", 0)],
+    ids=["converged", "max_iter", "A-overflows-at-u0", "f-fails-at-u0"],
+)
+def test_picard_evaluates_f_once_per_iterate(ctx_t2, monkeypatch, f_text, u0, max_iter, status,
+                                             iterations):
+    # one apply_A, and so one f evaluation, per iterate: u0's also gives the
+    # start bound, and the returned iterate's the report, whose ODE residual
+    # reads it too; a run that diverges at u0 costs one
+    f, f_calls, applies = parse(f_text, "u"), [], []
+    apply = solver.apply_A
 
     def counting_f(us):
-        calls.append(us)
-        return F_AFFINE(us)
+        f_calls.append(us)
+        return f(us)
 
-    report = picard_solve(counting_f, ctx_t2, SolveConfig(n=400, u0=1.0))
-    assert report.iterations == 6 and len(calls) == 7
+    def counting_apply(*args):
+        applies.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(solver, "apply_A", counting_apply)
+    report = picard_solve(counting_f, ctx_t2, SolveConfig(n=400, u0=u0, max_iter=max_iter))
+    assert (report.status, report.iterations) == (status, iterations)
+    assert len(f_calls) == len(applies) == iterations + 1
 
 
 @pytest.mark.parametrize(
@@ -164,8 +192,7 @@ def test_picard_report_carries_its_diagnosis(ctx_t2, f_text, u0, status):
     assert (report.au is None) == (not np.isfinite(au).all())
     if report.au is not None:
         assert np.array_equal(report.au, au)
-    aw = solver._nonlocal_weights(ctx_t2, 40)
-    assert np.array_equal(report.ode_defects, solver._ode_defects(u, fvals[2:-2], aw))
+    assert np.array_equal(report.ode_defects, solver._ode_defects(u, fvals, ctx_t2))
     assert report.residual_ode == residual_ode(u, f, ctx_t2)
 
 
@@ -250,7 +277,8 @@ def test_report_invariants(ctx_t2):
         assert report.residual_integral >= 0.0
         assert report.residual_ode.interior >= 0.0 and report.residual_ode.bc >= 0.0
         assert report.trivial == (report.solution.sup_norm() < 1e-8)
-        au_norm = apply_A(report.solution, f, operator_matrix(ctx_t2, 400)).sup_norm()
+        _, au = apply_A(report.solution, f, operator_matrix(ctx_t2, 400))
+        au_norm = GridFunction(400, au).sup_norm()
         assert au_norm <= report.norm_bound + 1e-10
         assert report.iterations == len(report.delta_trace)
 
@@ -283,8 +311,8 @@ def test_solve_config_validation():
 def test_residual_integral_of_exact_solution(ctx_t2):
     # the exact solution is a fixed point: its defect ||u - A u|| is tiny
     u = oracle_grid(2000)
-    au = apply_A(u, F_ONE, operator_matrix(ctx_t2, 2000))
-    assert float(np.max(np.abs(u.values - au.values))) < 1e-10
+    _, au = apply_A(u, F_ONE, operator_matrix(ctx_t2, 2000))
+    assert float(np.max(np.abs(u.values - au))) < 1e-10
 
 
 def test_residual_ode_of_oracle_polynomial(ctx_t2):
@@ -476,6 +504,6 @@ def test_cone_preservation_random_inputs(theta):
     for f in (F_ONE, F_AFFINE, parse("u^2", "u"), F_SATURATING):
         for _ in range(5):
             u = GridFunction(400, rng.uniform(0.0, 1.0, 401))
-            au = apply_A(u, f, op)
+            au = GridFunction(400, apply_A(u, f, op)[1])
             check = cone_ratio(au, ctx)
             assert check.min_inner >= check.threshold * check.norm - 1e-10
