@@ -9,9 +9,9 @@ with H from the kernel module; u solves the beam problem iff u = A u.
 ``picard_solve`` iterates u <- A u and reports what happened;
 convergence is not guaranteed in general and non-convergence is a report
 status, not an error.  Since f(0) = 0 makes u = 0 a fixed point, reports
-carry a ``trivial`` flag (sup-norm below 1e-8, and not diverged: the last
-finite iterate of a diverged run is no fixed point) so a collapse to zero
-is never presented as a positive solution.
+carry a ``trivial`` flag (sup-norm below 1e-8 plus Picard's stopping error,
+not diverged: the last finite iterate of a diverged run is no fixed point)
+so a collapse to zero is never presented as a positive solution.
 
 ``collocation_oracle`` solves the differential form directly -- banded
 fourth-difference rows, one-sided boundary stencils, one dense row for
@@ -205,6 +205,11 @@ def norm_bound_check(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> Bo
     return _bound_check(u, *apply_A(u, f, operator_matrix(ctx, u.n)), ctx)
 
 
+def _contraction(r: float, last_delta: float) -> float:
+    """Picard's contraction estimate: residual ||u - A u|| over last step, at most 0.999."""
+    return min(r / last_delta, 0.999) if r > 0 else 0.0
+
+
 def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> SolveReport:
     """Iterate u <- A u until the sup-norm update drops below tol.
 
@@ -234,14 +239,18 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
             break
 
     defects = _ode_defects(u, fvals, ctx)
+    r = math.inf if au is None else float(np.max(np.abs(u.values - au)))
+    # the stopping rule's a-posteriori error bounds nothing unless the last step contracted
+    contracted = math.isfinite(r) and r < deltas[-1]  # a finite r has a last step
+    stop_error = r / (1.0 - _contraction(r, deltas[-1])) if contracted else 0.0
     return SolveReport(
         solution=u,
         iterations=len(deltas),
         delta_trace=deltas,
-        residual_integral=math.inf if au is None else float(np.max(np.abs(u.values - au))),
+        residual_integral=r,
         residual_ode=OdeResidual.of(defects),
         cone=cone_ratio(u, ctx),
-        trivial=status != "diverged" and u.sup_norm() < TRIVIALITY_THRESHOLD,
+        trivial=status != "diverged" and u.sup_norm() < TRIVIALITY_THRESHOLD + stop_error,
         norm_bound=_bound_check(u, fvals, au, ctx).bound,
         status=status,
         au=au,
@@ -280,7 +289,7 @@ def agreement_bound(report: SolveReport, colloc: CollocationResult, alpha: float
     n_o = colloc.solution.n
     u_norm = max(report.solution.sup_norm(), colloc.solution.sup_norm())
     r = report.residual_integral
-    theta = min(r / report.delta_trace[-1], 0.999) if r > 0 else 0.0
+    theta = _contraction(r, report.delta_trace[-1])
     residual = max(colloc.residual, np.finfo(float).smallest_subnormal)
     d_o = residual * float(n_o) ** 4 / (72.0 * (1.0 - alpha))
     discretization = 100.0 / float(n_o) ** 3 + 10.0 * np.finfo(float).eps * float(n_o) ** 4
@@ -313,13 +322,17 @@ def _collocation_system(u: np.ndarray, fvals: np.ndarray, aw: np.ndarray, h: flo
 
 def _newton_step(
     u: np.ndarray, residual: np.ndarray, f: ExpressionFn, aw: np.ndarray, h: float
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Solve J step = -residual for the Jacobian J of ``_collocation_system``
-    in O(n).  Rows 0..n-1 of J are banded (2 below the diagonal, 3 above) and
-    fill LAPACK band storage ab[3 + i - j, j] = J[i, j]; the dense row
-    J[n] = e_0 - aw is replaced by e_n and restored by Sherman-Morrison."""
+    in O(n); None where f fails at the probe of f'.  Rows 0..n-1 of J are
+    banded (2 below, 3 above the diagonal) in LAPACK storage ab[3 + i - j, j];
+    the dense row J[n] = e_0 - aw is replaced by e_n and restored by Sherman-Morrison."""
     import scipy.linalg  # deferred: only this step needs scipy, and its import is slow
 
+    try:
+        fprime = _f_derivative(f, np.maximum(u[2:-2], 0.0))
+    except ExprEvalError:
+        return None
     n = len(u) - 1
     m = np.arange(5)
     ab = np.zeros((6, n + 1))
@@ -327,7 +340,7 @@ def _newton_step(
     ab[4 - m, m] = _D2_FORWARD  # row 1
     for k, coeff in zip(range(-2, 3), _D4_CENTRAL):  # rows 2..n-2, band j - i = k
         ab[3 - k, 2 + k : n - 1 + k] = coeff
-    ab[3, 2 : n - 1] += h**4 * _f_derivative(f, np.maximum(u[2:-2], 0.0))
+    ab[3, 2 : n - 1] += h**4 * fprime
     ab[5 - m[:4], n - 3 + m[:4]] = -_D1_FORWARD[::-1]  # row n-1
     ab[3, n] = 1.0  # row n: e_n
     rhs = np.column_stack((-residual, np.zeros(n + 1)))
@@ -347,64 +360,49 @@ def collocation_oracle(
     row u(0) = sum of w_j a(t_j) u_j for the nonlocal condition.  The
     interior rows are scaled by h^4 so every equation is O(||u||) and the
     Newton residual can be driven to rounding level.  Steps are halved
-    (up to 30 times) whenever the residual would increase; stagnation at
-    an unacceptable residual is reported, not raised.  When f overflows at
-    the initial guess the status is "diverged", with 0 steps and an
-    infinite residual; when it overflows where a step probes f', the status
-    is "diverged", with the steps taken so far.
+    (up to 30 times) until the residual decreases, an f failure counting
+    as an infinite residual; stagnation at an unacceptable residual is
+    reported, not raised.  When f fails at the initial guess the status is
+    "diverged", with 0 steps and an infinite residual; when it fails where
+    a step probes f', "diverged", with the steps taken so far.
     """
     n = config.n
     h = 1.0 / n
     aw = _nonlocal_weights(ctx, n)
 
-    def system(v: np.ndarray) -> np.ndarray:
-        return _collocation_system(v, f(np.maximum(v[2:-2], 0.0)), aw, h)
-
-    u = config.initial_guess().values.copy()
-    try:
-        residual = system(u)
-    except ExprEvalError:  # f overflows at the initial guess: no step can start
-        return CollocationResult(
-            solution=GridFunction(n, u), status="diverged", iterations=0,
-            residual=math.inf, residual_trace=[math.inf], halvings=[],
-        )
-    res_norm = float(np.max(np.abs(residual)))
-    status = "max_iter"
-    trace, halvings = [res_norm], []
+    def system(v: np.ndarray) -> tuple[np.ndarray | None, float]:
+        """The scaled rows at v and their largest magnitude; (None, inf) where f fails."""
+        try:
+            rows = _collocation_system(v, f(np.maximum(v[2:-2], 0.0)), aw, h)
+        except ExprEvalError:
+            return None, math.inf
+        return rows, float(np.max(np.abs(rows)))
 
     def floor_tol() -> float:
         # a defect delta in D4 units shows up as h^4 * delta in the scaled rows
         return h**4 * interior_tolerance(n, float(np.max(np.abs(u))))
 
-    for _ in range(min(config.max_iter, 60)):
-        if res_norm <= floor_tol():
-            status = "converged"
-            break
-        try:
-            step = _newton_step(u, residual, f, aw, h)
-        except ExprEvalError:  # f overflows at the probe of its derivative: no step
+    u = config.initial_guess().values.copy()
+    residual, res_norm = system(u)
+    status = "diverged" if residual is None else "max_iter"
+    trace, halvings = [res_norm], []
+    max_steps = min(config.max_iter, 60)
+    while status == "max_iter" and len(halvings) < max_steps and res_norm > floor_tol():
+        step = _newton_step(u, residual, f, aw, h)
+        if step is None:
             status = "diverged"
             break
-        scale = 1.0
-        improved = False
         for halving in range(30):
-            candidate = u + scale * step
-            try:
-                cand_res = system(candidate)
-                cand_norm = float(np.max(np.abs(cand_res)))
-            except ExprEvalError:
-                cand_norm = math.inf  # f overflowed at this step length; halve
-            if np.isfinite(cand_norm) and cand_norm < res_norm:
+            candidate = u + 0.5**halving * step
+            cand_res, cand_norm = system(candidate)
+            if cand_norm < res_norm:  # false for inf and nan
                 u, residual, res_norm = candidate, cand_res, cand_norm
-                improved = True
                 break
-            scale /= 2.0
-        halvings.append(halving if improved else 30)
-        trace.append(res_norm)
-        if not improved:
-            # stuck at the rounding floor of the residual evaluation
+        else:  # no step length decreases the residual: at its rounding floor, or stuck
+            halving = 30
             status = "converged" if res_norm <= 10.0 * floor_tol() else "stagnated"
-            break
+        halvings.append(halving)
+        trace.append(res_norm)
     if res_norm <= floor_tol():
         status = "converged"
     return CollocationResult(

@@ -149,6 +149,20 @@ def test_solve_saturating_from_one_is_trivial(tmp_path, capsys):
     assert "trivial_fixed_point = true" in out
 
 
+@pytest.mark.parametrize("k, trivial", [(126, "true"), (130, "false")])
+def test_solve_trivial_flag_counts_picard_stopping_error(tmp_path, capsys, k, trivial):
+    # k = 126 < mu1 = 126.71 makes u = 0 the only nonnegative fixed point; Picard
+    # stops at sup 1.8e-8, within its a-posteriori error r / (1 - theta) of it.
+    # k = 130 has a positive solution (sup 0.0564).
+    text = f"f = {k}*u/(1+u)\na = t^2\ngrid_n = 800\nmax_iter = 5000\nu0 = constant 1\n"
+    code = cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")])
+    out = capsys.readouterr().out
+    assert _summary_value(out, "status") == "converged"
+    assert _summary_value(out, "trivial_fixed_point") == trivial
+    if k == 126:
+        assert code == 0
+
+
 def test_solve_affine_cross_checks(tmp_path, capsys):
     path = write_problem(tmp_path, PROBE)
     code = cli.main(["solve", path, "--out", str(tmp_path / "u.csv")])

@@ -271,6 +271,16 @@ def test_diverged_run_is_not_trivial(ctx_t2):
     assert not report.trivial
 
 
+@pytest.mark.parametrize("u0, trivial", [(5.0, True), (300.0, False)])
+def test_trivial_flag_counts_stopping_error_where_the_run_contracts(ctx_t2, u0, trivial):
+    # f = u^3, 3 steps: from 5 the iterate (sup ~5e-8) contracts toward 0 and lies
+    # within r / (1 - theta) of it; from 300 it grows (r > last step), so the
+    # stopping error bounds nothing and does not count
+    report = picard_solve(parse("u^3", "u"), ctx_t2, SolveConfig(n=200, max_iter=3, u0=u0))
+    assert report.status == "max_iter" and report.solution.sup_norm() > 1e-8
+    assert report.trivial == trivial
+
+
 def test_report_invariants(ctx_t2):
     for f, u0 in ((F_ONE, 0.0), (F_AFFINE, 0.0), (F_SATURATING, 1.0)):
         report = picard_solve(f, ctx_t2, SolveConfig(n=400, u0=u0))
@@ -447,6 +457,35 @@ def test_collocation_from_large_initial_guess(ctx_t2):
     result = collocation_oracle(F_AFFINE, ctx_t2, SolveConfig(n=200, u0=1e12))
     assert result.status == "converged"
     assert result.iterations <= 3
+
+
+@pytest.mark.parametrize(
+    "text, u0, status",
+    [("exp(u)", 709.7825, "diverged"), ("0.001*exp(u)", 800.0, "diverged"),
+     ("exp(u)", 5.0, "stagnated"), ("exp(u)", 300.0, "max_iter"), ("1+u", 1.0, "converged")],
+    ids=["f-prime-probe-fails", "f-fails-at-u0", "stagnated", "max_iter", "converged"],
+)
+def test_collocation_statuses(ctx_t2, text, u0, status):
+    # n = 400, the oracle's grid for grid_n = 800 (at n = 800, u0 = 5 ends max_iter)
+    result = collocation_oracle(parse(text, "u"), ctx_t2, SolveConfig(n=400, u0=u0))
+    assert result.status == status
+    assert len(result.residual_trace) == result.iterations + 1 == len(result.halvings) + 1
+    assert result.residual_trace[-1] == result.residual
+    if status == "diverged":  # no step: f fails at u0 (residual inf), or its f' probe there
+        assert result.iterations == 0
+        assert math.isinf(result.residual) == (text == "0.001*exp(u)")
+    if status == "stagnated":
+        assert result.halvings[-1] == 30
+    if status == "max_iter":
+        assert result.iterations == 60
+
+
+def test_newton_step_is_none_where_the_f_prime_probe_fails(ctx_t2):
+    # exp is finite at 709.7825 but overflows at the probe 709.7825 * (1 + 1e-6)
+    f = parse("exp(u)", "u")
+    _, aw, h = _newton_inputs(ctx_t2, 40)
+    u = np.full(41, 709.7825)
+    assert _newton_step(u, _system(u, f, aw, h), f, aw, h) is None
 
 
 # --- norm bound ------------------------------------------------------------
