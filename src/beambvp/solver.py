@@ -23,7 +23,7 @@ cross-checking the two meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -266,34 +266,35 @@ def oracle_grid(n: int) -> int:
     return max((m for m in range(20, ORACLE_N_MAX + 1, 2) if n % m == 0), default=n)
 
 
-def agreement_bound(report: SolveReport, colloc: CollocationResult, alpha: float) -> float:
+def agreement_bound(report: SolveReport, colloc: CollocationResult, f: ExpressionFn,
+                    ctx: KernelContext, config: SolveConfig, agreement: float) -> float | None:
     """The largest sup distance, on the oracle's nodes, at which a converged
-    Picard solve and oracle (on n_o intervals, h_o = 1/n_o) count as one
-    fixed point:
-
-        (100 h_o^3 + 10 eps n_o^4) ||u|| + 2 (r + d_o) / (1 - theta)
-
-    The first part is the oracle's discretization error: its truncation,
-    measured up to 10 h_o^3 ||u|| where it dominates (n_o <= 40), and its
-    rounding, measured up to 0.6 eps n_o^4 ||u|| where that dominates
-    (n_o >= 360); ||u|| is the larger of the two sup norms.  The second is
-    twice the a-posteriori error of the two stopping rules: r = ||u - A u||
-    is Picard's residual and theta = r / (its last step), at most 0.999,
-    its contraction; d_o bounds the oracle's error from its final defect,
-    its residual in D4 units (times n_o^4) over 72 (1 - alpha), the bound
-    on ||A||; the residual counts as at least the smallest subnormal, since
-    h_o^4 f can underflow in the scaled rows, where a residual of 0 proves
-    nothing.  On about 140 problems of seven f families, measured agreement
-    stayed below half of the bound for tol from 1e-10 to 1e-4 and n_o from
-    20 to 4006."""
+    Picard solve and oracle (on n_o intervals), ``agreement`` apart, count as
+    one fixed point: 2 (r + d_o) / (1 - theta) + 5 ||u_o - u_2o||.  The first
+    part is twice the a-posteriori error of the two stopping rules:
+    r = ||u - A u|| is Picard's residual and theta = r / (its last step), at
+    most 0.999, its contraction; d_o bounds the oracle's error from its final
+    defect, its residual in D4 units (times n_o^4) over 72 (1 - alpha), the
+    bound on ||A||; the residual counts as at least the smallest subnormal,
+    since h_o^4 f can underflow in the scaled rows, where a residual of 0
+    proves nothing.  The second measures the oracle's discretization error
+    without Picard: u_2o, an oracle solve on 2 n_o intervals from the same
+    initial guess, on the n_o nodes.  At order p, Richardson's estimate of
+    u_o's error is 2^p / (2^p - 1) times their distance, 4/3 at the oracle's
+    p = 2 and at most 2 for p >= 1; 5 keeps a margin of 1.5 on grids too
+    coarse for the order to show (2.7 at n_o = 20, f' = 170).  u_2o is solved
+    only where ``agreement`` exceeds the first part; None where it does not converge."""
     n_o = colloc.solution.n
-    u_norm = max(report.solution.sup_norm(), colloc.solution.sup_norm())
     r = report.residual_integral
     theta = _contraction(r, report.delta_trace[-1])
     residual = max(colloc.residual, np.finfo(float).smallest_subnormal)
-    d_o = residual * float(n_o) ** 4 / (72.0 * (1.0 - alpha))
-    discretization = 100.0 / float(n_o) ** 3 + 10.0 * np.finfo(float).eps * float(n_o) ** 4
-    return discretization * u_norm + 2.0 * (r + d_o) / (1.0 - theta)
+    d_o = residual * float(n_o) ** 4 / (72.0 * (1.0 - ctx.alpha))
+    stopping = 2.0 * (r + d_o) / (1.0 - theta)
+    if agreement <= stopping:
+        return stopping
+    fine = collocation_oracle(f, ctx, replace(config, n=2 * n_o))
+    distance = float(np.max(np.abs(colloc.solution.values - fine.solution.values[::2])))
+    return stopping + 5.0 * distance if fine.status == "converged" else None
 
 
 def _f_derivative(f: ExpressionFn, x: np.ndarray, delta: float = 1e-6) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 from pathlib import Path
@@ -153,14 +154,63 @@ def test_solve_saturating_from_one_is_trivial(tmp_path, capsys):
 def test_solve_trivial_flag_counts_picard_stopping_error(tmp_path, capsys, k, trivial):
     # k = 126 < mu1 = 126.71 makes u = 0 the only nonnegative fixed point; Picard
     # stops at sup 1.8e-8, within its a-posteriori error r / (1 - theta) of it.
-    # k = 130 has a positive solution (sup 0.0564).
+    # k = 130 has a positive solution (sup 0.0564), where the oracle is second
+    # order: it agrees to 1.04e-5, within five times its distance, 7.9e-6, to
+    # the oracle on 800 intervals.
     text = f"f = {k}*u/(1+u)\na = t^2\ngrid_n = 800\nmax_iter = 5000\nu0 = constant 1\n"
     code = cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")])
     out = capsys.readouterr().out
     assert _summary_value(out, "status") == "converged"
     assert _summary_value(out, "trivial_fixed_point") == trivial
-    if k == 126:
-        assert code == 0
+    assert code == 0
+
+
+STEEP_SATURATING = "f = 130*u/(1+u)\na = t^2\nmax_iter = 5000\nu0 = constant 1\n"
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_solve_steep_saturating_agrees_on_coarse_grids(tmp_path, capsys, n):
+    # the oracle at n_o = n is 2.9e-3 (n = 20) and 9.4e-4 (n = 40) from Picard
+    path = write_problem(tmp_path, STEEP_SATURATING + f"grid_n = {n}\n")
+    code = cli.main(["solve", path, "--out", str(tmp_path / "u.csv")])
+    captured = capsys.readouterr()
+    assert _summary_value(captured.out, "collocation_status") == "converged"
+    assert float(_summary_value(captured.out, "oracle_agreement_sup")) > 1e-4
+    assert code == 0 and captured.err == ""
+
+
+def test_solve_exits_4_when_picard_is_two_percent_off(tmp_path, capsys, monkeypatch):
+    # the gate measures the oracle's error without Picard's solution, so one
+    # 2% off (1.1e-3, a hundred times the oracle's error at n_o = 400) fails it
+    picard_solve = solver.picard_solve
+
+    def two_percent_off(f, ctx, config):
+        report = picard_solve(f, ctx, config)
+        return dataclasses.replace(report, solution=GridFunction(config.n, 1.02 * report.solution.values))
+
+    monkeypatch.setattr(solver, "picard_solve", two_percent_off)
+    path = write_problem(tmp_path, STEEP_SATURATING + "grid_n = 800\n")
+    assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "found different fixed points" in err[0]
+
+
+def test_solve_exits_4_where_the_oracle_error_cannot_be_measured(tmp_path, capsys, monkeypatch):
+    # the agreement 1.04e-5 exceeds the stopping part, so the gate needs the
+    # oracle on 800 intervals; where that solve does not converge, it exits 4
+    collocation_oracle = solver.collocation_oracle
+
+    def stagnates_on_800(f, ctx, config):
+        result = collocation_oracle(f, ctx, config)
+        return dataclasses.replace(result, status="stagnated") if config.n == 800 else result
+
+    monkeypatch.setattr(solver, "collocation_oracle", stagnates_on_800)
+    path = write_problem(tmp_path, STEEP_SATURATING + "grid_n = 800\n")
+    assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 4
+    captured = capsys.readouterr()
+    assert _summary_value(captured.out, "collocation_status") == "converged"
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "solve on 800 intervals" in err[0] and "did not converge" in err[0]
 
 
 def test_solve_affine_cross_checks(tmp_path, capsys):
@@ -264,8 +314,8 @@ CONTRACTIVE = {
 
 
 # 422 = 2 * 211 has no even divisor in [20, 400], so the oracle runs at full n;
-# 1800 runs it at 360
-@pytest.mark.parametrize("n", [422, 800, 1800, 12800])
+# 1800 runs it at 360; at 20 and 40 it runs at n, where the oracle is coarsest
+@pytest.mark.parametrize("n", [20, 40, 422, 800, 1800, 12800])
 def test_solve_exits_4_when_the_methods_find_different_fixed_points(tmp_path, capsys, n):
     # Picard falls to u = 0 from u0 = 100; the oracle finds the positive solution
     out_csv = tmp_path / "u.csv"

@@ -207,30 +207,76 @@ def test_oracle_grid(n, n_o):
 
 
 def test_agreement_bound_covers_picard_stopping_error(ctx_t2):
-    # tol = 1e-4 leaves Picard ~1e-5 from its fixed point, far above the
-    # oracle's discretization error; 2 r / (1 - theta) covers the distance
+    # tol = 1e-4 leaves Picard ~4e-5 from its fixed point; the stopping part
+    # 2 r / (1 - theta) of the agreement bound, all of it at agreement 0,
+    # covers the distance
     f = parse("50*u/(1+u) + 1", "u")
-    loose = picard_solve(f, ctx_t2, SolveConfig(n=400, tol=1e-4))
+    config = SolveConfig(n=400, tol=1e-4)
+    loose = picard_solve(f, ctx_t2, config)
     exact = picard_solve(f, ctx_t2, SolveConfig(n=400, tol=1e-14)).solution
     oracle = solver.CollocationResult(
         solution=exact, status="converged", iterations=0, residual=0.0,
         residual_trace=[0.0], halvings=[],
     )
     error = float(np.max(np.abs(loose.solution.values - exact.values)))
-    discretization = (100.0 / 400**3 + 10.0 * np.finfo(float).eps * 400**4) * exact.sup_norm()
-    assert discretization < error <= agreement_bound(loose, oracle, ctx_t2.alpha)
+    assert 1e-5 < error <= agreement_bound(loose, oracle, f, ctx_t2, config, 0.0)
 
 
 def test_agreement_bound_counts_the_oracle_defect(ctx_t2):
     # both at u = 0 but for the oracle's final defect, in D4 units times n^4
     zero = GridFunction(20, np.zeros(21))
-    picard = picard_solve(parse("u^2", "u"), ctx_t2, SolveConfig(n=20))
+    f, config = parse("u^2", "u"), SolveConfig(n=20)
+    picard = picard_solve(f, ctx_t2, config)
     assert picard.residual_integral == 0.0 and picard.solution.sup_norm() == 0.0
     oracle = solver.CollocationResult(
         solution=zero, status="converged", iterations=0, residual=1e-12,
         residual_trace=[1e-12], halvings=[],
     )
-    assert agreement_bound(picard, oracle, ctx_t2.alpha) == 2.0 * 1e-12 * 20**4 / 48.0
+    bound = agreement_bound(picard, oracle, f, ctx_t2, config, 0.0)
+    assert bound == 2.0 * 1e-12 * 20**4 / 48.0
+
+
+def test_agreement_bound_measures_the_oracle_error_without_picard(ctx_t2):
+    # f' up to 130 makes the oracle second order here: it sits 1.04e-5 from
+    # Picard's solution, beyond the stopping part; its solve on 800 intervals
+    # measures that error, and a Picard solution 2% off still fails the gate
+    f = parse("130*u/(1+u)", "u")
+    config = SolveConfig(n=800, max_iter=5000, u0=1.0)
+    picard = picard_solve(f, ctx_t2, config)
+    oracle = collocation_oracle(f, ctx_t2, SolveConfig(n=400, max_iter=5000, u0=1.0))
+    assert (picard.status, oracle.status) == ("converged", "converged")
+    for scale in (1.0, 1.02):
+        u = scale * picard.solution.values[::2]
+        agreement = float(np.max(np.abs(u - oracle.solution.values)))
+        assert agreement > agreement_bound(picard, oracle, f, ctx_t2, config, 0.0)
+        bound = agreement_bound(picard, oracle, f, ctx_t2, config, agreement)
+        if scale == 1.0:
+            assert agreement <= bound <= 10.0 * agreement
+        else:
+            assert bound < agreement
+
+
+def test_agreement_bound_is_small_at_a_different_fixed_point():
+    # Picard falls to u = 0 from u0 = 100 while the oracle, on both grids,
+    # finds the positive solution (sup 333.66)
+    f, ctx = parse("u^2", "u"), make_context(parse("0.9*t^2", "t"))
+    config = SolveConfig(n=400, u0=100.0)
+    picard = picard_solve(f, ctx, config)
+    oracle = collocation_oracle(f, ctx, config)
+    assert picard.status == oracle.status == "converged" and picard.trivial
+    agreement = float(np.max(np.abs(picard.solution.values - oracle.solution.values)))
+    assert agreement > 300.0 and agreement_bound(picard, oracle, f, ctx, config, agreement) < 1.0
+
+
+def test_agreement_bound_is_none_where_the_finer_oracle_fails(ctx_t2):
+    # f fails at the initial guess 800, so the oracle on 40 intervals cannot run
+    picard = picard_solve(F_ONE, ctx_t2, SolveConfig(n=20))
+    oracle = solver.CollocationResult(
+        solution=GridFunction(20, np.zeros(21)), status="converged", iterations=0,
+        residual=0.0, residual_trace=[0.0], halvings=[],
+    )
+    config = SolveConfig(n=20, u0=800.0)
+    assert agreement_bound(picard, oracle, parse("0.001*exp(u)", "u"), ctx_t2, config, 1.0) is None
 
 
 @pytest.mark.parametrize(
