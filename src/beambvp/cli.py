@@ -11,10 +11,10 @@ Subcommands:
 * ``reproduce-examples``: runs analyze + solve for the two bundled
   example problems and prints a combined report.
 
-Exit codes: 0 ok, 1 lemma violation, 2 hypothesis violation,
-3 parse or usage error (an unreadable input or unwritable output
-included), 4 solver non-convergence, or a converged Picard solve and
-oracle that disagree.
+Exit codes: 0 ok, 1 lemma violation, 2 hypothesis violation, 3 parse or
+usage error (an unreadable input or unwritable output included), 4 solver
+non-convergence, or a converged Picard solve and oracle that disagree or
+whose oracle error cannot be measured (the agreement gate fails closed).
 
 Problem files are flat ``key = value`` text with ``#`` comments; keys
 are f, a, theta, grid_n, quad_panels, tol, max_iter, u0.  All reals in
@@ -484,8 +484,9 @@ def cmd_reproduce_examples(args) -> int:
         if contraction < 1.0 and report.trivial:
             print(
                 "note: a certified criterion asserts existence of a positive solution, "
-                "while the computed fixed point is trivial. With f(u)/u <= "
-                f"{_fmt(ratio_sup)} on the probe grid, every fixed point obeys "
+                "while the computed fixed point is trivial. The limit-schedule samples "
+                f"(u = 1e-12 .. 1e8) give f(u)/u <= {_fmt(ratio_sup)}; if this sampled bound "
+                "holds for all u > 0, every fixed point obeys "
                 f"||u|| <= {_fmt(contraction)} * ||u||, so the iteration can only "
                 "reach u = 0; both facts are reported here without adjudication."
             )

@@ -6,8 +6,9 @@ The two existence criteria for the beam problem hinge on the limits
     finf = lim of f(u)/u as u -> infinity.
 
 ``certify_f0_zero`` handles the small-amplitude criterion (f0 = 0): it
-fixes the largest admissible slope epsilon = 1 - alpha and finds the
-largest radius rho1 such that f(u) <= epsilon * u on (0, rho1].
+fixes the largest admissible slope epsilon = 1 - alpha and finds rho1 with
+f(u) <= epsilon * u on (0, rho1] by a log scan and three rescans of its first
+crossing's bracket: rho1 stops before the first point above the ray on each.
 ``certify_finf_zero`` handles the large-amplitude criterion (finf = 0):
 either f is bounded by some L (Case 1), or there are eta = 1 - alpha,
 rho2, sigma with f(u) <= eta * u beyond rho2 and f(u) <= eta * sigma
@@ -148,12 +149,11 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
     """Certificate for the small-amplitude criterion, or None.
 
     epsilon is pinned at its largest admissible value 1 - alpha (this
-    maximizes rho1; the criterion only needs the inequality).  rho1 is
-    located by scanning a log grid up to 1e3 and bisecting the first
-    envelope crossing of f(u) = epsilon * u (a point of the scan or the
-    bisection where f overflows counts as a crossing); the greatest
-    certifiable radius is capped at 1e3.  Returns None when the f0
-    estimate is not approximately zero or no radius >= 1e-6 exists.
+    maximizes rho1; the criterion only needs the inequality).  rho1 is the
+    last point below the ray epsilon * u before the first above it (or where
+    f overflows) on a log scan up to 1e3 (slack 1e-12) and on three 4097-point
+    rescans, each of the bracket found before: within ~4e-14 rho1, at most 1e3.
+    None when the f0 estimate is not approximately zero or rho1 < 1e-6.
     """
     if not f0_estimate.is_zero():
         return None
@@ -166,19 +166,16 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
         return F0Certificate(epsilon=epsilon, rho1=RHO1_CAP)
     if first_bad == 0:
         return None
-    lo, hi = float(us[first_bad - 1]), float(us[first_bad])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid, stop = _scan(f, np.array([mid]))
-        if stop == 1 and fmid[0] - epsilon * mid <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, lo):
-            break
+    lo, hi = us[first_bad - 1], us[first_bad]
+    for _ in range(3):  # each rescan narrows the bracket 4096-fold, from 2.8e-3 rho1
+        pts = np.linspace(lo, hi, 4097)  # pts[-1] = hi lies above the ray
+        fps, stop = _scan(f, pts)
+        above = np.nonzero(fps[:stop] - epsilon * pts[:stop] > 0.0)[0]
+        k = int(above[0]) if above.size else stop
+        lo, hi = pts[max(k - 1, 0)], pts[k]  # k = 0: the scan's slack alone let lo pass
     if lo < RHO1_MIN:
         return None
-    return F0Certificate(epsilon=epsilon, rho1=lo)
+    return F0Certificate(epsilon=epsilon, rho1=float(lo))
 
 
 def certify_finf_zero(f: ArrayFn, ctx: KernelContext,

@@ -559,7 +559,7 @@ UNDEFINED_AT_ZERO = {
     [
         # f(u0) ~ 1.8e308 is finite, but f overflows where Newton probes f'
         ("solve", "f = exp(u)\na = t^2\ngrid_n = 40\nu0 = constant 709.7825\n", 4, ""),
-        # f overflows at a midpoint of the rho1 bisection
+        # f overflows inside the bracket that the rho1 rescans narrow
         ("analyze", "f = u*exp(10000*(u-705))\na = t^2\n", 0, ""),
         # f cannot be evaluated at u = 0: H1 fails
         ("analyze", "f = 1/u\na = t^2\n", 2,
@@ -689,7 +689,8 @@ def test_analyze_f_near_float_limit_is_quiet(tmp_path, capsys):
 def test_evaluations_per_command(tmp_path, capsys, monkeypatch, command, a_evals):
     # solve reads a in the gate's context, on Picard's grid and on the oracle's
     # grid (the CSV rows read Picard's report); analyze only in the gate's
-    # context.  The H1 probe runs once.
+    # context.  The H1 probe runs once, and f is never evaluated point by
+    # point: its smallest array is the 8-point finf schedule.
     calls = []
     evaluate = ExpressionFn.__call__
 
@@ -702,6 +703,7 @@ def test_evaluations_per_command(tmp_path, capsys, monkeypatch, command, a_evals
     assert cli.main([command, str(fixture), "--out", str(tmp_path / "out")]) == 0
     assert sum(source == "t^2" for source, _ in calls) == a_evals
     assert calls.count(("u*(1-exp(-u))", len(hypotheses._h1_probe()))) == 1
+    assert min(size for source, size in calls if source == "u*(1-exp(-u))") >= 8
 
 
 # --- reproduce-examples -----------------------------------------------------

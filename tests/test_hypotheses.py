@@ -110,6 +110,37 @@ def test_certificate_capped_radius(ctx_t2):
     assert certify_f0_zero(f, ctx_t2, estimate_f0(f)).rho1 == 1e3
 
 
+def test_certificate_stops_at_a_bump_between_scan_points(ctx_t2):
+    # the bump lifts f above (2/3) u on about (0.66617, 0.66620), between
+    # two points of the log scan; f <= (2/3) u again from there to u = 2/3
+    f = parse("u^2 + 0.001*exp(-((u-0.6661862)/1.8e-05)^2)", "u")
+    cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
+    us = np.linspace(0.6657, 0.6667, 200001)
+    first_above = us[np.argmax(f(us) - cert.epsilon * us > 0.0)]
+    assert f(float(first_above)) > cert.epsilon * first_above
+    assert cert.rho1 <= first_above
+
+
+def test_certificate_is_relatively_accurate_below_one(ctx_t2):
+    # f = epsilon u at u = epsilon / 1e5 ~ 6.7e-6, where approx's default
+    # absolute tolerance, 1e-12, would pass an error of 1.5e-7 relative
+    f = parse("100000*u^2", "u")
+    cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
+    assert cert.rho1 == pytest.approx(cert.epsilon / 1e5, rel=1e-12, abs=0.0)
+
+
+def test_certificate_within_the_scan_slack(ctx_t2):
+    # f - (2/3) u is positive but below the scan's 1e-12 slack from u ~ 30
+    # to u ~ 102: no point of the first rescan's bracket lies below the ray,
+    # so rho1 stays at the scan point that the slack let pass
+    f = parse("0.66666666666667663*u*u^4/(u^4+0.00000001)", "u")
+    cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
+    us = hypotheses._scan_grid(-9.0, 3.0)
+    k = int(np.argmax(f(us) - cert.epsilon * us > hypotheses.MARGIN_SLACK))
+    assert cert.rho1 == us[k - 1]
+    assert 0.0 < f(cert.rho1) - cert.epsilon * cert.rho1 <= hypotheses.MARGIN_SLACK
+
+
 def test_certificate_scan_invariant(ctx_t2):
     for f in (F_SATURATING, F_SQUARE):
         cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
