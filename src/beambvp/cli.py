@@ -150,8 +150,8 @@ def parse_problem(text: str, origin: str = "<problem>") -> ProblemFile:
 
 def load_problem(path: str) -> ProblemFile:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemError(f"cannot read problem file {path}: {exc}") from exc
     return parse_problem(text, origin=path)
 
@@ -167,18 +167,21 @@ def _fmt(x) -> str:
 
 
 def _check_output_paths(*paths: str | Path | None, source: str | None = None) -> None:
-    """Fail before any work when an output is a directory, lies in no
-    writable one, or names the same file as the input ``source`` or as
-    another output."""
-    claimed = {Path(source).resolve(): f"input {source}"} if source else {}
+    """Fail before any work when an output is a directory or a symbolic-link
+    loop, lies in no writable directory, or names the same file as the input
+    ``source`` or as another output.  Paths resolve with os.path.realpath,
+    which stops at a loop where Path.resolve raises before Python 3.13."""
+    claimed = {Path(os.path.realpath(source)): f"input {source}"} if source else {}
     for path in filter(None, paths):
-        target = Path(path).resolve()
+        target = Path(os.path.realpath(path))
         if target in claimed:
             raise OSError(f"{path}: same file as the {claimed[target]}")
         claimed[target] = f"output {path}"
         parent = Path(path).parent
         if Path(path).is_dir():
             raise IsADirectoryError(f"{path} is a directory")
+        if target.is_symlink():  # realpath left a loop unresolved
+            raise OSError(f"{path}: too many levels of symbolic links")
         if not (parent.is_dir() and os.access(parent, os.W_OK)):
             raise OSError(f"{path}: {parent} is not a writable directory")
 

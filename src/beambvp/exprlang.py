@@ -322,10 +322,6 @@ class ExpressionFn:
             raise ExprEvalError(message, pos, index, float(xs.ravel()[index]), values)
         return values
 
-    def pretty(self) -> str:
-        """Fully parenthesized source form; reparses to an identical tree."""
-        return _to_source(self.ast)
-
 
 def parse(src: str, var: str | None = None) -> ExpressionFn:
     """Parse ``src`` into an :class:`ExpressionFn`.
@@ -377,18 +373,3 @@ def _eval(node: Node, x: np.ndarray, fail):
         fail(~np.isfinite(value), "overflow", node.pos)
     return value
 
-
-def _to_source(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_to_source(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({_to_source(node.left)}{node.op}{_to_source(node.right)})"
-    if isinstance(node, Power):
-        return f"({_to_source(node.base)}^{node.exponent})"
-    if isinstance(node, Call):
-        return f"{node.name}({_to_source(node.arg)})"
-    raise TypeError(f"unknown node {node!r}")

@@ -99,17 +99,24 @@ class KernelContext:
 
 
 def sample_weight(weight: ExpressionFn, *point_sets: np.ndarray) -> list:
-    """a on each of ``point_sets`` from one evaluation on their sorted union,
+    """a on each of ``point_sets`` from one evaluation on their concatenation,
     the one place the package evaluates a.  (H2) holds a finite and >= 0
-    there; a point that breaks the rule raises :class:`HypothesisViolation`
-    naming the smallest such t."""
-    ts, inverse = np.unique(np.concatenate(point_sets), return_inverse=True)
+    there.  Only when it fails is a evaluated again, on the sorted points,
+    to raise :class:`HypothesisViolation`: a point where a cannot be
+    evaluated is named before a negative value, each at its smallest t."""
+    ts = np.concatenate(point_sets)
     try:
         a_vals = weight(ts)
-    except ExprEvalError as exc:
-        raise HypothesisViolation("H2", f"a cannot be evaluated at t = {exc.x}: {exc}") from exc
-    require_nonneg("H2", "a", ts, a_vals)
-    return np.split(a_vals[inverse], np.cumsum([len(p) for p in point_sets[:-1]]))
+    except ExprEvalError:
+        a_vals = None
+    if a_vals is None or (a_vals < 0.0).any():
+        ts = np.sort(ts)
+        try:
+            a_vals = weight(ts)
+        except ExprEvalError as exc:
+            raise HypothesisViolation("H2", f"a cannot be evaluated at t = {exc.x}: {exc}") from exc
+        require_nonneg("H2", "a", ts, a_vals)
+    return np.split(a_vals, np.cumsum([len(p) for p in point_sets[:-1]]))
 
 
 def make_context(

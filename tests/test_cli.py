@@ -852,6 +852,33 @@ def test_unwritable_output_path_exit(tmp_path, capsys, argv):
     assert (tmp_path / "case.problem").read_text() == PROBE
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        pytest.param(["analyze", "{loop}"], "cannot read problem file {loop}: ", id="analyze-loop"),
+        pytest.param(["solve", "{loop}", "--out", "{ok}"], "cannot read problem file {loop}: ",
+                     id="solve-loop"),
+        pytest.param(["solve", "{problem}", "--out", "{loop}"], "cannot write output: {loop}: ",
+                     id="solve-out-loop"),
+        pytest.param(["analyze", "{latin1}"], "cannot read problem file {latin1}: ",
+                     id="analyze-not-utf8"),
+    ],
+)
+def test_unreadable_path_exits_3(tmp_path, capsys, argv, err):
+    # a symbolic link to itself, and a problem that is valid but for one byte
+    # that is not UTF-8 in a comment
+    (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "latin1.problem").write_bytes(PROBE.encode() + b"# \xff\n")
+    names = dict(problem=write_problem(tmp_path, PROBE), loop=str(tmp_path / "loop"),
+                 ok=str(tmp_path / "ok.csv"), latin1=str(tmp_path / "latin1.problem"))
+    assert cli.main([arg.format(**names) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: " + err.format(**names))
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.problem", "latin1.problem", "loop"]
+
+
 # --- state kept between main calls in one process ---------------------------
 
 

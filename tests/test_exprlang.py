@@ -138,24 +138,6 @@ def test_eval_is_pure():
         assert struct.pack("<d", fn(0.731)) == first
 
 
-ROUND_TRIP_SOURCES = [
-    "u*(1-exp(-u))",
-    "t^2",
-    "1-exp(-u)",
-    "-u^2+3*u-1/(u+2)",
-    "exp(-(u^2))/(1+u)",
-    "2+3*4",
-    "((u))",
-]
-
-
-@pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
-def test_pretty_round_trip(src):
-    fn = parse(src)
-    again = parse(fn.pretty())
-    assert again.ast == fn.ast
-
-
 @st.composite
 def expressions(draw, depth=3):
     if depth == 0 or draw(st.booleans()):
@@ -171,12 +153,6 @@ def expressions(draw, depth=3):
         return f"({left})^{draw(st.integers(min_value=0, max_value=4))}"
     right = draw(expressions(depth=depth - 1))
     return f"({left}){kind}({right})"
-
-
-@given(expressions())
-def test_pretty_round_trip_generated(src):
-    fn = parse(src)
-    assert parse(fn.pretty()).ast == fn.ast
 
 
 # --- the array walk against the scalar evaluator it replaced -----------------

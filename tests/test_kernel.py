@@ -132,7 +132,7 @@ def test_make_context_masses_match_integrate(text, panels, theta):
     assert ctx.beta == min(max(integrate(weight, theta, 1.0 - theta, quad), 0.0), ctx.alpha)
 
 
-def test_sample_weight_evaluates_the_sorted_union_once():
+def test_sample_weight_evaluates_the_points_as_given_once():
     calls = []
 
     def weight(ts):
@@ -140,7 +140,7 @@ def test_sample_weight_evaluates_the_sorted_union_once():
         return 1.0 + ts
 
     first, second = sample_weight(weight, np.array([0.5, 0.25]), np.array([0.25, 0.0]))
-    assert [c.tolist() for c in calls] == [[0.0, 0.25, 0.5]]
+    assert [c.tolist() for c in calls] == [[0.5, 0.25, 0.25, 0.0]]
     assert first.tolist() == [1.5, 1.25] and second.tolist() == [1.25, 1.0]
 
 
@@ -153,6 +153,11 @@ def test_sample_weight_names_the_smallest_failing_t():
     # no sampling skips the sign check
     with pytest.raises(HypothesisViolation, match=r"a\(0\.25\) = -0\.25 < 0"):
         sample_weight(weight, np.array([0.25]))
+
+
+def test_sample_weight_names_a_failure_before_a_smaller_negative_t():
+    with pytest.raises(HypothesisViolation, match=r"evaluated at t = 0\.75:"):
+        sample_weight(parse("(t-1/4)/(t-3/4)", "t"), np.array([0.75]), np.array([0.5]))
 
 
 # the modified kernel is H(t, s) = G(t, s) + c(s), with c from correction_values
