@@ -62,8 +62,9 @@ class ProblemError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """A parsed problem with every default.  theta and quad_panels are
-    checked here, the solve settings by the SolveConfig built from them."""
+    """A parsed problem with every default.  theta is checked here,
+    quad_panels by the QuadratureSettings and the solve settings by the
+    SolveConfig built from them."""
 
     f: ExpressionFn
     a: ExpressionFn
@@ -77,20 +78,23 @@ class ProblemFile:
     def __post_init__(self):
         if not 0.0 < self.theta < 0.5:
             raise ProblemError(f"theta must lie in (0, 1/2), got {self.theta}")
-        if self.quad_panels < 1:
-            raise ProblemError(f"quad_panels must be >= 1, got {self.quad_panels}")
-        self.config()  # SolveConfig checks grid_n, tol, max_iter and u0
+        _ = self.quad, self.config()  # each raises ProblemError on a bad field
 
     @property
     def quad(self) -> QuadratureSettings:
-        return QuadratureSettings(panels=self.quad_panels)
+        return _settings(QuadratureSettings, panels=self.quad_panels)
 
     def config(self, u0_override: Optional[str] = None) -> SolveConfig:
         u0 = self.u0 if u0_override is None else parse_u0(u0_override)
-        try:
-            return SolveConfig(n=self.grid_n, tol=self.tol, max_iter=self.max_iter, u0=u0)
-        except ValueError as exc:
-            raise ProblemError(str(exc)) from None
+        return _settings(SolveConfig, n=self.grid_n, tol=self.tol, max_iter=self.max_iter, u0=u0)
+
+
+def _settings(cls, **fields):
+    """cls(**fields), with the ValueError of its range checks as a ProblemError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ProblemError(str(exc)) from None
 
 
 def parse_u0(descriptor: str) -> float:
@@ -417,11 +421,11 @@ def _print_analysis(problem: ProblemFile, h1h2, report: hypotheses.HypothesisRep
         f"a = {problem.a.source}",
         f"hypothesis_h1 = {_fmt(h1h2.h1)}",
         f"hypothesis_h2 = {_fmt(h1h2.h2)}",
-        f"alpha = {_fmt(report.alpha)}",
-        f"beta = {_fmt(report.beta)}",
+        f"alpha = {_fmt(h1h2.ctx.alpha)}",
+        f"beta = {_fmt(h1h2.ctx.beta)}",
         estimate_line("f0", report.f0_estimate),
         estimate_line("finf", report.finf_estimate),
-        f"epsilon = {_fmt(report.epsilon)}",
+        f"epsilon = {_fmt(1.0 - h1h2.ctx.alpha)}",  # largest admissible slope
         f"criterion_f0_zero_applicable = {_fmt(cert0 is not None)}",
         f"rho1 = {_fmt(getattr(cert0, 'rho1', None))}",
         f"criterion_finf_zero_applicable = {_fmt(certinf is not None)}",

@@ -250,13 +250,10 @@ def check_h1_h2(f: ArrayFn, a: ArrayFn, quad: QuadratureSettings = quadrature.DE
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Everything the analysis command reports about f and a."""
+    """What the analysis learned about f; the constants of a live on the context."""
 
-    alpha: float
-    beta: float
     f0_estimate: LimitEstimate
     finf_estimate: LimitEstimate
-    epsilon: float  # largest admissible slope, 1 - alpha
     f0_certificate: Optional[F0Certificate]  # None: small-amplitude criterion not certified
     finf_certificate: Optional[FInfCertificate]  # None: large-amplitude criterion not certified
 
@@ -265,11 +262,8 @@ def build_report(f: ArrayFn, ctx: KernelContext) -> HypothesisReport:
     """Run both estimates, once each, and both certifications against a valid context."""
     f0, finf = estimate_f0(f), estimate_finf(f)
     return HypothesisReport(
-        alpha=ctx.alpha,
-        beta=ctx.beta,
         f0_estimate=f0,
         finf_estimate=finf,
-        epsilon=1.0 - ctx.alpha,
         f0_certificate=certify_f0_zero(f, ctx, f0),
         finf_certificate=certify_finf_zero(f, ctx, finf),
     )

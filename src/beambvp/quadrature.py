@@ -19,6 +19,7 @@ from .errors import NumericError
 # Simpson's reference nodes/weights on [0, 1] for one panel
 _X = np.array([0.0, 0.5, 1.0])
 _W = np.array([1.0, 4.0, 1.0]) / 6.0
+MAX_PANELS = 10**5  # make_context holds arrays of 3 * panels nodes: under 0.1 GB at the bound
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,8 @@ class QuadratureSettings:
     def __post_init__(self):
         if not isinstance(self.panels, int) or self.panels < 1:
             raise ValueError(f"panels must be a positive integer, got {self.panels!r}")
+        if self.panels > MAX_PANELS:
+            raise ValueError(f"panels must be at most {MAX_PANELS}, got {self.panels}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()

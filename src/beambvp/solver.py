@@ -38,6 +38,7 @@ from .linear import ConeCheck, cone_ratio, operator_matrix
 TRIVIALITY_THRESHOLD = 1e-8
 BOUND_SLACK = 1e-10
 ORACLE_N_MAX = 400  # the oracle's most accurate grid: rounding grows like eps n^4 above it
+MAX_GRID_N = 2**20  # a solve takes about 110 bytes per node: under 0.2 GB at the bound
 
 _D1_FORWARD = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0  # order 3
 _D2_FORWARD = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / 12.0  # order 3
@@ -57,6 +58,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.n < 20 or self.n % 2 != 0:  # 20: the collocation oracle's smallest grid
             raise ValueError(f"grid resolution must be even and >= 20, got {self.n}")
+        if self.n > MAX_GRID_N:
+            raise ValueError(f"grid resolution must be at most {MAX_GRID_N}, got {self.n}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:

@@ -677,6 +677,18 @@ def test_analyze_out_file(tmp_path, capsys):
     assert "alpha = " in report.read_text()
 
 
+def test_analyze_prints_the_constants_of_solve_summary(tmp_path, capsys):
+    path = write_problem(tmp_path, "f = 1\na = t^2\ntheta = 0.1\ngrid_n = 40\n")
+    assert cli.main(["analyze", path]) == 0
+    analysis = capsys.readouterr().out
+    assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 0
+    summary = capsys.readouterr().out
+    for key in ("alpha", "beta"):
+        assert _summary_value(analysis, key) == _summary_value(summary, key)
+    alpha = float(_summary_value(summary, "alpha"))
+    assert _summary_value(analysis, "epsilon") == cli._fmt(1.0 - alpha)
+
+
 def test_analyze_f_near_float_limit_is_quiet(tmp_path, capsys):
     # f(u)/u overflows on the f0 schedule: the ratio reads inf, without a warning
     path = write_problem(tmp_path, "f = 1e300*u + 1e300\na = t\n")
@@ -877,6 +889,33 @@ def test_unreadable_path_exits_3(tmp_path, capsys, argv, err):
     assert len(err_lines) == 1 and err_lines[0].startswith("error: " + err.format(**names))
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case.problem", "latin1.problem", "loop"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, err",
+    [
+        pytest.param(["solve", "{problem}", "--out", "{out}"], "grid_n = 100000000000000000000",
+                     "{problem}: grid resolution must be at most 1048576, got 1", id="solve-grid"),
+        pytest.param(["analyze", "{problem}", "--out", "{out}"], "grid_n = 1048578",
+                     "{problem}: grid resolution must be at most 1048576, got 1048578",
+                     id="analyze-grid"),
+        pytest.param(["analyze", "{problem}", "--out", "{out}"],
+                     "quad_panels = 100000000000000000000",
+                     "{problem}: panels must be at most 100000, got 1", id="analyze-panels"),
+        pytest.param(["solve", "{problem}", "--out", "{out}"], "quad_panels = 0",
+                     "{problem}: panels must be a positive integer, got 0", id="solve-no-panels"),
+        pytest.param(["reproduce-examples", "--grid", "100000000000000000000", "--out-dir", "{out}"],
+                     "", "grid resolution must be at most 1048576, got 1", id="reproduce-grid"),
+    ],
+)
+def test_oversized_setting_exits_3(tmp_path, capsys, argv, text, err):
+    names = dict(problem=write_problem(tmp_path, f"f = 1\na = t^2\n{text}\n"),
+                 out=str(tmp_path / "out"))
+    assert cli.main([arg.format(**names) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: " + err.format(**names))
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 # --- state kept between main calls in one process ---------------------------

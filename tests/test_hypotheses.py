@@ -245,8 +245,7 @@ def test_schedule_keeps_samples_before_first_failure():
 def test_report_for_saturating(ctx_t2):
     report = build_report(F_SATURATING, ctx_t2)
     assert report.f0_certificate is not None and report.finf_certificate is None
-    assert report.epsilon == 1.0 - ctx_t2.alpha
-    assert report.f0_certificate.epsilon == report.epsilon
+    assert report.f0_certificate.epsilon == 1.0 - ctx_t2.alpha
     assert report.f0_certificate.rho1 > 0.0
 
 
@@ -267,8 +266,7 @@ def test_report_coherence(ctx_t2):
             assert report.finf_estimate.converged
             assert abs(report.finf_estimate.value) < 1e-4
             eta = report.finf_certificate.eta
-            assert eta is None or eta <= 1.0 - report.alpha
-        assert report.epsilon <= 1.0 - report.alpha
+            assert eta is None or eta <= 1.0 - ctx_t2.alpha
 
 
 # --- probe grids --------------------------------------------------------------

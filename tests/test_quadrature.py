@@ -6,6 +6,7 @@ import pytest
 from beambvp.errors import NumericError
 from beambvp.quadrature import (
     DEFAULT_SETTINGS,
+    MAX_PANELS,
     QuadratureSettings,
     grid_weights,
     integrate,
@@ -91,6 +92,12 @@ def test_nodes_weights_consistent_with_integrate():
 def test_settings_validation():
     with pytest.raises(ValueError):
         QuadratureSettings(panels=0)
+
+
+def test_settings_panel_bound():
+    assert QuadratureSettings(panels=MAX_PANELS).panels == 10**5
+    with pytest.raises(ValueError, match="at most 100000"):
+        QuadratureSettings(panels=MAX_PANELS + 1)
 
 
 def test_integrate_grid_constant():

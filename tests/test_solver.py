@@ -361,6 +361,12 @@ def test_solve_config_validation():
             SolveConfig(u0=u0)
 
 
+def test_solve_config_grid_bound():
+    assert SolveConfig(n=solver.MAX_GRID_N).n == 2**20
+    with pytest.raises(ValueError, match="at most 1048576"):
+        SolveConfig(n=solver.MAX_GRID_N + 2)
+
+
 # --- residuals -------------------------------------------------------------
 
 
