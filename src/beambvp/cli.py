@@ -325,16 +325,16 @@ def _solve_problem(problem: ProblemFile, h1h2, u0_override: Optional[str], out_p
     """Solve, cross-check, write the CSVs and print the summary; shared by
     cmd_solve and cmd_reproduce_examples.  Returns the outcome and exit code.
 
-    The oracle runs on ``solver.oracle_grid(n)`` intervals; where both converge but differ
-    on its nodes by more than ``solver.agreement_bound``, or it is None, the run exits 4."""
+    The oracle runs on min(n, ``solver.ORACLE_N_MAX``) intervals; where both converge but it is
+    more than ``solver.agreement_bound`` (or None) from Picard's A f(u) at its nodes, it exits 4."""
     ctx, config = h1h2.ctx, problem.config(u0_override)
     report = solver.picard_solve(problem.f, ctx, config)
-    n_o = solver.oracle_grid(config.n)
+    n_o = min(config.n, solver.ORACLE_N_MAX)
     colloc = solver.collocation_oracle(problem.f, ctx, dataclasses.replace(config, n=n_o))
-    u = report.solution
-    agreement = float(np.max(np.abs(u.values[:: config.n // n_o] - colloc.solution.values)))
+    nystrom = np.inf if report.fvals is None else operator_matrix(ctx, config.n, n_o)(report.fvals)
+    agreement = float(np.max(np.abs(colloc.solution.values - nystrom)))
     outcome = dict(h1h2=h1h2, config=config, report=report, colloc=colloc, agreement=agreement)
-    rows = _solution_csv_rows(u, problem.f, ctx, report)
+    rows = _solution_csv_rows(report.solution, problem.f, ctx, report)
     _write_csv(out_path, ["t", "u", "Au", "fourth_diff_residual"], rows)
     if plot_path:
         _write_csv(plot_path, ["t", "u"], rows[:, :2])

@@ -102,6 +102,7 @@ class SolveReport:
     trivial: bool
     norm_bound: float
     status: str  # converged | max_iter | diverged
+    fvals: np.ndarray | None = field(repr=False)  # f of the returned iterate; None: f failed
     au: np.ndarray | None = field(repr=False)  # A u of the returned iterate; None: overflowed
     ode_defects: np.ndarray | None = field(repr=False)  # its _ode_defects rows; None: f failed
     bound_at_start: BoundCheck  # the norm bound check of the initial guess
@@ -256,37 +257,30 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
         trivial=status != "diverged" and u.sup_norm() < TRIVIALITY_THRESHOLD + stop_error,
         norm_bound=_bound_check(u, fvals, au, ctx).bound,
         status=status,
-        au=au,
+        fvals=fvals, au=au,
         ode_defects=defects,
         bound_at_start=bound_at_start,
     )
 
 
-def oracle_grid(n: int) -> int:
-    """The grid of the collocation oracle for a solve on n intervals: the
-    largest even divisor of n in [20, ``ORACLE_N_MAX``], so its nodes are
-    every (n // n_o)-th node of the solve's grid; n itself when n has none."""
-    return max((m for m in range(20, ORACLE_N_MAX + 1, 2) if n % m == 0), default=n)
-
-
 def agreement_bound(report: SolveReport, colloc: CollocationResult, f: ExpressionFn,
                     ctx: KernelContext, config: SolveConfig, agreement: float) -> float | None:
-    """The largest sup distance, on the oracle's nodes, at which a converged
-    Picard solve and oracle (on n_o intervals), ``agreement`` apart, count as
-    one fixed point: 2 (r + d_o) / (1 - theta) + 5 ||u_o - u_2o||.  The first
-    part is twice the a-posteriori error of the two stopping rules:
-    r = ||u - A u|| is Picard's residual and theta = r / (its last step), at
-    most 0.999, its contraction; d_o bounds the oracle's error from its final
-    defect, its residual in D4 units (times n_o^4) over 72 (1 - alpha), the
-    bound on ||A||; the residual counts as at least the smallest subnormal,
-    since h_o^4 f can underflow in the scaled rows, where a residual of 0
-    proves nothing.  The second measures the oracle's discretization error
-    without Picard: u_2o, an oracle solve on 2 n_o intervals from the same
-    initial guess, on the n_o nodes.  At order p, Richardson's estimate of
-    u_o's error is 2^p / (2^p - 1) times their distance, 4/3 at the oracle's
-    p = 2 and at most 2 for p >= 1; 5 keeps a margin of 1.5 on grids too
-    coarse for the order to show (2.7 at n_o = 20, f' = 170).  u_2o is solved
-    only where ``agreement`` exceeds the first part; None where it does not converge."""
+    """The largest sup distance, on the oracle's nodes, between its solution u_o
+    (n_o intervals) and Picard's Nystrom values A f(u), within r of u on a shared
+    node, at which the two, converged, count as one fixed point: 2 (r + d_o) /
+    (1 - theta) + 5 ||u_o - u_2o||.  The first part is twice the a-posteriori
+    error of the two stopping rules: r = ||u - A u|| is Picard's residual and
+    theta = r / (its last step), at most 0.999, its contraction; d_o bounds the
+    oracle's error from its final defect, its residual in D4 units (times n_o^4)
+    over 72 (1 - alpha), the bound on ||A||; the residual counts as at least the
+    smallest subnormal, since h_o^4 f can underflow in the scaled rows, where a
+    residual of 0 proves nothing.  The second measures the oracle's discretization
+    error without Picard: u_2o, an oracle solve on 2 n_o intervals from the same
+    initial guess, on the n_o nodes.  At order p, Richardson's estimate of u_o's
+    error is 2^p / (2^p - 1) times their distance, 4/3 at the oracle's p = 2 and
+    at most 2 for p >= 1; 5 keeps a margin of 1.5 on grids too coarse for the
+    order to show (2.7 at n_o = 20, f' = 170).  u_2o is solved only where
+    ``agreement`` exceeds the first part; None where it does not converge."""
     n_o = colloc.solution.n
     r = report.residual_integral
     theta = _contraction(r, report.delta_trace[-1])

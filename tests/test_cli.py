@@ -181,12 +181,16 @@ def test_solve_steep_saturating_agrees_on_coarse_grids(tmp_path, capsys, n):
 
 def test_solve_exits_4_when_picard_is_two_percent_off(tmp_path, capsys, monkeypatch):
     # the gate measures the oracle's error without Picard's solution, so one
-    # 2% off (1.1e-3, a hundred times the oracle's error at n_o = 400) fails it
+    # 2% off (1.1e-3, a hundred times the oracle's error at n_o = 400) fails it;
+    # u, f(u) and A u move together, so the Nystrom values A f(u) are 2% off too
     picard_solve = solver.picard_solve
 
     def two_percent_off(f, ctx, config):
         report = picard_solve(f, ctx, config)
-        return dataclasses.replace(report, solution=GridFunction(config.n, 1.02 * report.solution.values))
+        return dataclasses.replace(
+            report, solution=GridFunction(config.n, 1.02 * report.solution.values),
+            fvals=1.02 * report.fvals, au=1.02 * report.au,
+        )
 
     monkeypatch.setattr(solver, "picard_solve", two_percent_off)
     path = write_problem(tmp_path, STEEP_SATURATING + "grid_n = 800\n")
@@ -313,9 +317,9 @@ CONTRACTIVE = {
 }
 
 
-# 422 = 2 * 211 has no even divisor in [20, 400], so the oracle runs at full n;
-# 1800 runs it at 360; at 20 and 40 it runs at n, where the oracle is coarsest
-@pytest.mark.parametrize("n", [20, 40, 422, 800, 1800, 12800])
+# at 422, 1800 and 20004 the oracle's 400 intervals put nodes between Picard's,
+# where the gate reads A f(u); at 20 and 40 it runs at n, where it is coarsest
+@pytest.mark.parametrize("n", [20, 40, 422, 800, 1800, 12800, 20004])
 def test_solve_exits_4_when_the_methods_find_different_fixed_points(tmp_path, capsys, n):
     # Picard falls to u = 0 from u0 = 100; the oracle finds the positive solution
     out_csv = tmp_path / "u.csv"
@@ -330,9 +334,14 @@ def test_solve_exits_4_when_the_methods_find_different_fixed_points(tmp_path, ca
     assert len(read_csv(out_csv)[1]) == n + 1  # the report is still written
 
 
-@pytest.mark.parametrize("text", CONTRACTIVE.values(), ids=CONTRACTIVE.keys())
-def test_solve_contractive_problems_agree_at_large_n(tmp_path, capsys, text):
-    path = write_problem(tmp_path, text + "grid_n = 12800\n")
+# 20004 = 4 * 5001 has no even divisor in [20, 400], so only the oracle's nodes
+# 0, 0.25, ..., 1 are Picard's; the 12800 cases keep their plain ids
+@pytest.mark.parametrize("text, n", [
+    pytest.param(text, n, id=key if n == 12800 else f"{key}-{n}")
+    for n in (12800, 20004) for key, text in CONTRACTIVE.items()
+])
+def test_solve_contractive_problems_agree_at_large_n(tmp_path, capsys, text, n):
+    path = write_problem(tmp_path, text + f"grid_n = {n}\n")
     assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 0
     out = capsys.readouterr().out
     agreement = float(_summary_value(out, "oracle_agreement_sup"))
@@ -601,19 +610,20 @@ def test_solve_overflow_of_A_only_at_initial_guess(tmp_path, capsys):
 
 
 def test_solve_builds_one_operator(tmp_path, capsys, monkeypatch):
-    # Picard builds the operator; the start bound and the CSV rows read its report
+    # Picard builds the operator; the start bound and the CSV rows read its
+    # report, and the gate evaluates A f(u) at the oracle's 401 nodes only
     builds = []
     build = linear.operator_matrix
 
-    def counting_build(ctx, n):
-        builds.append(n)
-        return build(ctx, n)
+    def counting_build(ctx, n, nodes=None):
+        builds.append(n if nodes is None else (n, nodes))
+        return build(ctx, n, nodes)
 
     for module in (linear, solver, cli):
         monkeypatch.setattr(module, "operator_matrix", counting_build)
     fixture = resources.files("beambvp.fixtures").joinpath("example_a.problem")
     assert cli.main(["solve", str(fixture), "--out", str(tmp_path / "out")]) == 0
-    assert builds == [800]
+    assert builds == [800, (800, 400)]
 
 
 CSV_CASES = {

@@ -172,6 +172,27 @@ def test_operator_bit_identical_to_reference(n, quad_panels):
     assert np.array_equal(np.isfinite(op(overflowing)), expected)
 
 
+@pytest.mark.parametrize("n", [20, 22, 800, 1800, 20004])
+def test_operator_at_nodes_matches_the_grid_on_shared_nodes(n):
+    # A y at the 401 nodes of a 400-interval grid: where node i is node
+    # i n / 400 of the operator's grid, it lands on the same panel point
+    ctx = make_context(parse("0.9*t^2", "t"))
+    i = np.arange(401)
+    shared = i * n % 400 == 0
+    op, at_nodes = operator_matrix(ctx, n), operator_matrix(ctx, n, 400)
+    for y in _reference_loads(n):
+        assert np.array_equal(at_nodes(y)[shared], op(y)[i[shared] * n // 400])
+
+
+@pytest.mark.parametrize("n", [20, 422, 20004])
+def test_operator_at_nodes_unit_load_matches_oracle(ctx_t2, n):
+    # y = 1 is quadratic on every panel, so off the grid, too, only the
+    # correction rule's constant is inexact
+    u = operator_matrix(ctx_t2, n, 400)(np.ones(n + 1))
+    exact = np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, 401), ORACLE_Y1)
+    assert float(np.max(np.abs(u - exact))) < 1e-12
+
+
 def test_operator_matrix_needs_even_grid(ctx_t2):
     with pytest.raises(ValueError):
         operator_matrix(ctx_t2, 201)

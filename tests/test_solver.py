@@ -178,32 +178,23 @@ def test_picard_evaluates_f_once_per_iterate(ctx_t2, monkeypatch, f_text, u0, ma
     ids=["converged", "A-overflows", "f-fails"],
 )
 def test_picard_report_carries_its_diagnosis(ctx_t2, f_text, u0, status):
-    # the start bound, A u and the ODE rows, as the separate calls compute them
+    # the start bound, f(u), A u and the ODE rows, as the separate calls compute them
     f, config = parse(f_text, "u"), SolveConfig(n=40, u0=u0)
     report = picard_solve(f, ctx_t2, config)
     assert report.status == status
     assert report.bound_at_start == norm_bound_check(config.initial_guess(), f, ctx_t2)
     u = report.solution
     if f_text == "0.001*exp(u)":
-        assert report.au is None and report.ode_defects is None
+        assert report.fvals is None and report.au is None and report.ode_defects is None
         return
     fvals = f(u.values)
+    assert np.array_equal(report.fvals, fvals)
     au = operator_matrix(ctx_t2, 40)(fvals)
     assert (report.au is None) == (not np.isfinite(au).all())
     if report.au is not None:
         assert np.array_equal(report.au, au)
     assert np.array_equal(report.ode_defects, solver._ode_defects(u, fvals, ctx_t2))
     assert report.residual_ode == residual_ode(u, f, ctx_t2)
-
-
-@pytest.mark.parametrize(
-    "n, n_o",
-    [(20, 20), (402, 134), (422, 422), (800, 400), (1000, 250), (1600, 400), (1800, 360),
-     (3000, 300), (51200, 400)],
-)
-def test_oracle_grid(n, n_o):
-    # the largest even divisor of n in [20, 400]; n itself when there is none
-    assert solver.oracle_grid(n) == n_o
 
 
 def test_agreement_bound_covers_picard_stopping_error(ctx_t2):
