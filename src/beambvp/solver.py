@@ -6,8 +6,10 @@ The nonlinear operator is
     (A u)(t) = integral of H(t, s) f(u(s)) ds
 
 with H from the kernel module; u solves the beam problem iff u = A u.
-``picard_solve`` iterates u <- A u and reports what happened;
-convergence is not guaranteed in general and non-convergence is a report
+``picard_solve`` iterates u <- A u, accelerated by Anderson mixing, and
+reports what happened; convergence is not guaranteed in general (mixing
+can also reach a fixed point that plain Picard iteration repels) and
+non-convergence is a report
 status, not an error.  Since f(0) = 0 makes u = 0 a fixed point, reports
 carry a ``trivial`` flag (sup-norm below 1e-8 plus Picard's stopping error,
 not diverged: the last finite iterate of a diverged run is no fixed point)
@@ -37,8 +39,10 @@ from .linear import ConeCheck, cone_ratio, operator_matrix
 
 TRIVIALITY_THRESHOLD = 1e-8
 BOUND_SLACK = 1e-10
+INTERIOR_FLOOR = 1e-6  # the absolute part of interior_tolerance
 ORACLE_N_MAX = 400  # the oracle's most accurate grid: rounding grows like eps n^4 above it
-MAX_GRID_N = 2**20  # a solve takes about 110 bytes per node: under 0.2 GB at the bound
+MAX_GRID_N = 2**20  # a solve takes about 190 bytes per node: under 0.3 GB at the bound
+ANDERSON_DEPTH = 5  # images that picard_solve mixes into each iterate
 
 _D1_FORWARD = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0  # order 3
 _D2_FORWARD = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / 12.0  # order 3
@@ -116,6 +120,7 @@ class CollocationResult:
     residual: float
     residual_trace: list[float] = field(repr=False)  # initial, then one per step
     halvings: list[int] = field(repr=False)  # step halvings per Newton step
+    error_estimate: float = 0.0  # sup of a Newton step at the solution; 0: not computed
 
 
 def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
@@ -153,9 +158,9 @@ def interior_tolerance(n: int, u_norm: float) -> float:
 
     The fourth difference divides rounding noise in u by h^4, so the
     reachable residual grows like machine epsilon * n^4 * ||u||; below
-    1e-6 the fixed floor applies.
+    ``INTERIOR_FLOOR`` the fixed floor applies.
     """
-    return max(1e-6, 100.0 * np.finfo(float).eps * float(n) ** 4 * u_norm)
+    return max(INTERIOR_FLOOR, 100.0 * np.finfo(float).eps * float(n) ** 4 * u_norm)
 
 
 def _nonlocal_weights(ctx: KernelContext, n: int) -> np.ndarray:
@@ -214,32 +219,97 @@ def _contraction(r: float, last_delta: float) -> float:
     return min(r / last_delta, 0.999) if r > 0 else 0.0
 
 
+class _AndersonMixer:
+    """Anderson mixing (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011): of the last ``ANDERSON_DEPTH`` images
+    g_j = A f(x_j), the combination with coefficients summing to 1 whose
+    residuals r_j = g_j - x_j combine to the least 2-norm.
+
+    It is solved in the differences of consecutive images and residuals,
+    each pair scaled by the sup norm of its residual difference (an exact
+    change of variables that keeps the Gram matrix finite at any scale).
+    Each step adds one difference, takes the products of the new difference
+    and of the residual with the ring buffer, and solves the normal
+    equations."""
+
+    def __init__(self, size: int):
+        depth = ANDERSON_DEPTH - 1
+        self.dr = np.empty((depth, size))
+        self.dg = np.empty((depth, size))
+        self.gram = np.empty((depth, depth))
+        self.count = 0  # differences added since the last clear
+        self.last: tuple[np.ndarray, np.ndarray] | None = None  # (g, r) of the previous iterate
+
+    def clear(self) -> None:
+        self.count = 0
+
+    def mix(self, image: np.ndarray, residual: np.ndarray, scale: float) -> np.ndarray | None:
+        """The next iterate, clamped at 0, after the image and residual of
+        sup norm ``scale`` > 0 at the current one; None, for the plain step
+        to the image, where no difference is held or the combination is not
+        finite (which clears the history)."""
+        last, self.last = self.last, (image, residual)
+        if last is None:
+            return None
+        slot = self.count % len(self.dr)
+        self.count += 1
+        k = min(self.count, len(self.dr))
+        with np.errstate(all="ignore"):  # overflow, or a repeated iterate, is caught below
+            dr = np.subtract(residual, last[1], out=self.dr[slot])
+            inv = 1.0 / np.abs(dr).max()
+            dr *= inv
+            np.multiply(image - last[0], inv, out=self.dg[slot])
+            self.gram[slot, :k] = self.gram[:k, slot] = self.dr[:k] @ dr
+            try:
+                eta = np.linalg.solve(self.gram[:k, :k], self.dr[:k] @ (residual / scale))
+            except np.linalg.LinAlgError:
+                eta = np.full(k, math.nan)
+            x = eta @ self.dg[:k]
+            x *= -scale
+            x += image
+        if not np.isfinite(x).all():
+            self.clear()
+            return None
+        return np.maximum(x, 0.0, out=x)
+
+
 def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> SolveReport:
-    """Iterate u <- A u until the sup-norm update drops below tol.
+    """Find a fixed point of u = A f(u) by Anderson-mixed Picard iteration,
+    until the sup norm of A f(x) - x at an iterate x drops below tol; the
+    returned u is A f(x), one plain Picard step on.
 
     Non-convergence within max_iter is reported via ``status``
-    ("max_iter"); overflow or NaN during iteration yields "diverged" with
-    the last finite iterate.  Each iterate, the initial guess and the
-    returned one included, costs one ``apply_A``, and the report is built
-    from the last: its norm bound, A u and ODE rows, which read inf (or
+    ("max_iter").  Where f fails or A overflows at a mixed iterate, the
+    plain image A f(x) is the next iterate instead and the mixing history
+    is cleared; where it fails there too, the status is "diverged", with
+    that last finite image.  Each iterate, the initial guess included,
+    costs one ``apply_A``, and the returned u one more, from which the
+    report is built: its norm bound, A u and ODE rows, which read inf (or
     None) where f or A overflows.  An a that fails or is negative at a grid
     node raises :class:`HypothesisViolation`.
     """
     op = operator_matrix(ctx, config.n)
-    u = config.initial_guess()
-    fvals, au = apply_A(u, f, op)
-    bound_at_start = _bound_check(u, fvals, au, ctx)
+    x = u = config.initial_guess()
+    fvals, au = apply_A(x, f, op)
+    bound_at_start = _bound_check(x, fvals, au, ctx)
+    mixer = _AndersonMixer(config.n + 1)
     deltas: list[float] = []
     status = "diverged"
     while au is not None:
-        deltas.append(float(np.abs(au - u.values).max()))
-        u = GridFunction(config.n, au)
-        fvals, au = apply_A(u, f, op)
-        if deltas[-1] < config.tol:
-            status = "converged"
-            break
-        if len(deltas) == config.max_iter:
-            status = "max_iter"
+        image, residual = au, au - x.values
+        deltas.append(float(np.abs(residual).max()))
+        done = deltas[-1] < config.tol or len(deltas) == config.max_iter
+        mixed = None if done else mixer.mix(image, residual, deltas[-1])
+        if mixed is not None:
+            x = GridFunction(config.n, mixed)
+            fvals, au = apply_A(x, f, op)
+            if au is not None:
+                continue
+            mixer.clear()
+        x = u = GridFunction(config.n, image)  # the plain step, and the report's apply
+        fvals, au = apply_A(x, f, op)
+        if done:
+            status = "converged" if deltas[-1] < config.tol else "max_iter"
             break
 
     defects = _ode_defects(u, fvals, ctx)
@@ -274,7 +344,9 @@ def agreement_bound(report: SolveReport, colloc: CollocationResult, f: Expressio
     oracle's error from its final defect, its residual in D4 units (times n_o^4)
     over 72 (1 - alpha), the bound on ||A||; the residual counts as at least the
     smallest subnormal, since h_o^4 f can underflow in the scaled rows, where a
-    residual of 0 proves nothing.  The second measures the oracle's discretization
+    residual of 0 proves nothing.  That bound ignores f', so near mu1 (I - A f'
+    nearly singular) d_o is the oracle's Newton estimate of its error where that
+    is larger.  The second measures the oracle's discretization
     error without Picard: u_2o, an oracle solve on 2 n_o intervals from the same
     initial guess, on the n_o nodes.  At order p, Richardson's estimate of u_o's
     error is 2^p / (2^p - 1) times their distance, 4/3 at the oracle's p = 2 and
@@ -285,7 +357,7 @@ def agreement_bound(report: SolveReport, colloc: CollocationResult, f: Expressio
     r = report.residual_integral
     theta = _contraction(r, report.delta_trace[-1])
     residual = max(colloc.residual, np.finfo(float).smallest_subnormal)
-    d_o = residual * float(n_o) ** 4 / (72.0 * (1.0 - ctx.alpha))
+    d_o = max(residual * float(n_o) ** 4 / (72.0 * (1.0 - ctx.alpha)), colloc.error_estimate)
     stopping = 2.0 * (r + d_o) / (1.0 - theta)
     if agreement <= stopping:
         return stopping
@@ -360,7 +432,10 @@ def collocation_oracle(
     Newton residual can be driven to rounding level.  Steps are halved
     (up to 30 times) until the residual decreases, an f failure counting
     as an infinite residual; stagnation at an unacceptable residual is
-    reported, not raised.  When f fails at the initial guess the status is
+    reported, not raised.  Where the floor's absolute part decides, one
+    more full step past it is taken, and counted, where it lowers the
+    residual, and a Newton step at the returned iterate gives
+    ``error_estimate``.  When f fails at the initial guess the status is
     "diverged", with 0 steps and an infinite residual; when it fails where
     a step probes f', "diverged", with the steps taken so far.
     """
@@ -401,9 +476,25 @@ def collocation_oracle(
             status = "converged" if res_norm <= 10.0 * floor_tol() else "stagnated"
         halvings.append(halving)
         trace.append(res_norm)
-    if res_norm <= floor_tol():
+    floor = floor_tol()
+    if res_norm <= floor:
         status = "converged"
+    # the floor's absolute part stops a load below INTERIOR_FLOOR at the initial
+    # guess, and near mu1 (I - A f' nearly singular) far from the solution: where
+    # it decides, one more full step is kept where it lowers the residual, and the
+    # step at the returned iterate is Newton's estimate of its error
+    error_estimate = 0.0
+    if 0.0 < res_norm <= floor and floor == h**4 * INTERIOR_FLOOR:
+        step = _newton_step(u, residual, f, aw, h)
+        cand_res, cand_norm = (None, math.inf) if step is None else system(u + step)
+        if cand_norm < res_norm:
+            u, residual, res_norm = u + step, cand_res, cand_norm
+            halvings.append(0)
+            trace.append(res_norm)
+            step = _newton_step(u, residual, f, aw, h)
+        error_estimate = 0.0 if step is None else float(np.max(np.abs(step)))
     return CollocationResult(
         solution=GridFunction(n, u), status=status, iterations=len(halvings),
         residual=res_norm, residual_trace=trace, halvings=halvings,
+        error_estimate=error_estimate,
     )

@@ -165,6 +165,29 @@ def test_solve_trivial_flag_counts_picard_stopping_error(tmp_path, capsys, k, tr
     assert code == 0
 
 
+def test_solve_trivial_flag_where_picard_stopped_loosely(tmp_path, capsys):
+    # k = 126 < mu1 at tol = 1e-6: plain Picard stopped after 757 iterations at
+    # sup 1.7e-4 and printed false; the mixed iterates reach u = 0 exactly
+    text = "f = 126*u/(1+u)\na = t^2\ngrid_n = 400\ntol = 1e-6\nmax_iter = 5000\nu0 = constant 1\n"
+    code = cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")])
+    out = capsys.readouterr().out
+    assert _summary_value(out, "trivial_fixed_point") == "true"
+    assert code == 0
+
+
+@pytest.mark.parametrize("k, n", [(120, 40), (126, 200)])
+def test_solve_near_mu1_trivial_agrees(tmp_path, capsys, k, n):
+    # the mixed iterates reach u = 0 exactly (residual 0); the oracle stops
+    # 9.4e-13 and 1.3e-11 from it, beyond its defect times the bound on ||A||,
+    # and the gate counts its Newton estimate of that error
+    text = f"f = {k}*u/(1+u)\na = t^2\ngrid_n = {n}\nu0 = constant 10\n"
+    code = cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")])
+    out = capsys.readouterr().out
+    assert _summary_value(out, "solution_sup_norm") == "0"
+    assert float(_summary_value(out, "oracle_agreement_sup")) > 1e-13
+    assert code == 0
+
+
 STEEP_SATURATING = "f = 130*u/(1+u)\na = t^2\nmax_iter = 5000\nu0 = constant 1\n"
 
 
@@ -306,7 +329,7 @@ def test_solve_zero_guess_is_not_a_false_oracle_pass(tmp_path, capsys):
 
 # --- the cross-check gate ---------------------------------------------------
 
-DISAGREEING = "f = u^2\na = 0.9*t^2\nu0 = constant 100\n"
+DISAGREEING = "f = u^2\na = 0.9*t^2\nu0 = constant 70\n"
 CONTRACTIVE = {
     "rational": "f = 0.5*u/(1+u) + 0.3\na = 0.9*t^2\n",
     "hump": "f = 3.1*u*exp(-1.2*u) + 0.4\na = 0.45*t\n",
@@ -321,7 +344,7 @@ CONTRACTIVE = {
 # where the gate reads A f(u); at 20 and 40 it runs at n, where it is coarsest
 @pytest.mark.parametrize("n", [20, 40, 422, 800, 1800, 12800, 20004])
 def test_solve_exits_4_when_the_methods_find_different_fixed_points(tmp_path, capsys, n):
-    # Picard falls to u = 0 from u0 = 100; the oracle finds the positive solution
+    # Picard falls to u = 0 from u0 = 70; the oracle finds the positive solution
     out_csv = tmp_path / "u.csv"
     path = write_problem(tmp_path, DISAGREEING + f"grid_n = {n}\n")
     assert cli.main(["solve", path, "--out", str(out_csv)]) == 4
@@ -332,6 +355,16 @@ def test_solve_exits_4_when_the_methods_find_different_fixed_points(tmp_path, ca
     err = captured.err.splitlines()
     assert len(err) == 1 and "found different fixed points" in err[0]
     assert len(read_csv(out_csv)[1]) == n + 1  # the report is still written
+
+
+def test_solve_reaches_the_positive_solution_from_100(tmp_path, capsys):
+    # from u0 = 100 the mixed iterates reach the positive solution that
+    # the oracle finds, where plain Picard fell to u = 0
+    path = write_problem(tmp_path, "f = u^2\na = 0.9*t^2\nu0 = constant 100\ngrid_n = 800\n")
+    assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 0
+    out = capsys.readouterr().out
+    assert _summary_value(out, "trivial_fixed_point") == "false"
+    assert abs(float(_summary_value(out, "solution_sup_norm")) - 333.6548776) < 1e-6
 
 
 # 20004 = 4 * 5001 has no even divisor in [20, 400], so only the oracle's nodes
@@ -371,11 +404,27 @@ def test_solve_loose_tol_agrees(tmp_path, capsys, text):
 
 
 def test_solve_trivial_solution_at_the_oracle_floor_agrees(tmp_path, capsys):
-    # Picard reaches u = 0; the oracle stops once its defect is below 1e-6,
-    # at ||u_o|| = 5e-9, which the bound counts through its residual
+    # Picard reaches u = 0 exactly (residual 0); the oracle, one step past its
+    # floor, stops at ||u_o|| = 2.2e-16, which the bound counts through the
+    # oracle's residual alone
     text = "f = 4.8823*u^2 + 0.3362*u^3\na = 1.0811*t^2\ngrid_n = 20\nu0 = constant 1\n"
     assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")]) == 0
-    assert float(_summary_value(capsys.readouterr().out, "oracle_agreement_sup")) > 1e-9
+    out = capsys.readouterr().out
+    assert _summary_value(out, "residual_integral") == "0"
+    assert float(_summary_value(out, "collocation_residual")) > 0.0
+    assert float(_summary_value(out, "oracle_agreement_sup")) > 0.0
+
+
+def test_solve_small_load_takes_a_step_past_the_oracle_floor(tmp_path, capsys):
+    # h_o^4 f(0) is below the floor's absolute part, h_o^4 1e-6, at u0 = 0, where
+    # the oracle stopped after 0 steps, as far from the solution (2.2e-9) as
+    # Picard's whole sup norm; one more step brings it to rounding
+    text = "f = 1e-7 + 0*u\na = t\n"
+    assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")]) == 0
+    out = capsys.readouterr().out
+    assert float(_summary_value(out, "solution_sup_norm")) > 2e-9
+    assert _summary_value(out, "collocation_newton_iterations") == "1"
+    assert float(_summary_value(out, "oracle_agreement_sup")) < 1e-14
 
 
 @pytest.mark.parametrize("load", ["1e-315", "1e-320"])
@@ -398,8 +447,8 @@ def test_solve_huge_initial_guess(tmp_path, capsys):
 
 
 def test_solve_diverged_iterate_writes_nan_column(tmp_path, capsys):
-    # the last finite Picard iterate is ~1e149, so f overflows on it
-    text = "f = 50*exp(u^3)\na = t^2\ngrid_n = 100\nmax_iter = 50\n"
+    # from u0 = 2 the first Picard iterate is ~2.8e3, so f overflows on it
+    text = "f = 50*exp(u^3)\na = t^2\ngrid_n = 100\nmax_iter = 50\nu0 = constant 2\n"
     out_csv = tmp_path / "u.csv"
     assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(out_csv)]) == 4
     out = capsys.readouterr().out
