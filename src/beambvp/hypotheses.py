@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,6 +45,10 @@ BOUNDEDNESS_CAP = 1e6
 MARGIN_SLACK = 1e-12
 F0_SCHEDULE = tuple(10.0**-k for k in range(1, 13))  # u = 10^-k, k = 1..12
 FINF_SCHEDULE = tuple(10.0**k for k in range(1, 9))  # u = 10^k, k = 1..8
+# slices of _probe(): u = 0 and the log scan up to 1e6 (the boundedness probe), then the schedules
+_SCAN = slice(0, SCAN_POINTS + 1)
+_F0 = slice(_SCAN.stop, _SCAN.stop + len(F0_SCHEDULE))
+_FINF = slice(_F0.stop, _F0.stop + len(FINF_SCHEDULE))
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 
@@ -67,17 +71,21 @@ class LimitEstimate:
         return self.converged and self.value is not None and abs(self.value) < CONVERGENCE_RTOL
 
 
-def _scan(f: ArrayFn, us: np.ndarray) -> tuple[np.ndarray, int]:
-    """(f(us), stop): f on the scan, valid before index ``stop``; stop is
-    the first point where f fails to evaluate (overflow), or len(us)."""
+def _scan(f: ArrayFn, us: np.ndarray) -> np.ndarray:
+    """f on us, NaN where f fails to evaluate (overflow, division by zero)."""
     try:
-        return f(us), len(us)
+        return f(us)
     except ExprEvalError as exc:
-        return exc.values, exc.index
+        return exc.values
 
 
-def _ratio_schedule(f: ArrayFn, us: np.ndarray) -> LimitEstimate:
-    fus, stop = _scan(f, us)  # f overflowed at stop: keep the samples before it
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or len(mask)."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def _ratio_schedule(us: np.ndarray, fus: np.ndarray) -> LimitEstimate:
+    stop = _first(np.isnan(fus))  # f overflowed at stop: keep the samples before it
     require_nonneg("H1", "f", us[:stop], fus[:stop])
     with np.errstate(over="ignore"):  # f near the float limit at a small u: the ratio is inf
         samples = tuple(zip(us[:stop].tolist(), (fus / us)[:stop].tolist()))
@@ -92,12 +100,12 @@ def _ratio_schedule(f: ArrayFn, us: np.ndarray) -> LimitEstimate:
 
 def estimate_f0(f: ArrayFn) -> LimitEstimate:
     """f(u)/u along ``F0_SCHEDULE``, u = 10^-k, k = 1..12."""
-    return _ratio_schedule(f, np.array(F0_SCHEDULE))
+    return _ratio_schedule(_probe()[_F0], _scan(f, _probe()[_F0]))
 
 
 def estimate_finf(f: ArrayFn) -> LimitEstimate:
     """f(u)/u along ``FINF_SCHEDULE``, u = 10^k, k = 1..8."""
-    return _ratio_schedule(f, np.array(FINF_SCHEDULE))
+    return _ratio_schedule(_probe()[_FINF], _scan(f, _probe()[_FINF]))
 
 
 @dataclass(frozen=True)
@@ -130,16 +138,10 @@ def _scan_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
 
 @functools.cache
 def _probe() -> np.ndarray:
-    """u = 0, then the scan grid over [1e-9, 1e6]: the H1 and boundedness probe."""
-    us = np.concatenate(([0.0], _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))))
-    us.setflags(write=False)
-    return us
-
-
-@functools.cache
-def _h1_probe() -> np.ndarray:
-    """The probe, then both limit schedules: every point where f's sign is read."""
-    us = np.concatenate((_probe(), F0_SCHEDULE, FINF_SCHEDULE))
+    """u = 0, the scan grid over [1e-9, 1e6], then both limit schedules:
+    every point where H1 reads f's sign, read again by the report."""
+    bounded = _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))
+    us = np.concatenate(([0.0], bounded, F0_SCHEDULE, FINF_SCHEDULE))
     us.setflags(write=False)
     return us
 
@@ -159,9 +161,8 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
         return None
     epsilon = 1.0 - ctx.alpha
     us = _scan_grid(-9.0, math.log10(RHO1_CAP))
-    fus, stop = _scan(f, us)  # a point where f overflows lies above the ray
-    bad = np.nonzero(fus[:stop] - epsilon * us[:stop] > MARGIN_SLACK)[0]
-    first_bad = int(bad[0]) if bad.size else stop
+    fus = _scan(f, us)  # a point where f overflows (NaN) lies above the ray
+    first_bad = _first(~(fus - epsilon * us <= MARGIN_SLACK))
     if first_bad == len(us):
         return F0Certificate(epsilon=epsilon, rho1=RHO1_CAP)
     if first_bad == 0:
@@ -169,9 +170,7 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
     lo, hi = us[first_bad - 1], us[first_bad]
     for _ in range(3):  # each rescan narrows the bracket 4096-fold, from 2.8e-3 rho1
         pts = np.linspace(lo, hi, 4097)  # pts[-1] = hi lies above the ray
-        fps, stop = _scan(f, pts)
-        above = np.nonzero(fps[:stop] - epsilon * pts[:stop] > 0.0)[0]
-        k = int(above[0]) if above.size else stop
+        k = _first(~(_scan(f, pts) - epsilon * pts <= 0.0))
         lo, hi = pts[max(k - 1, 0)], pts[k]  # k = 0: the scan's slack alone let lo pass
     if lo < RHO1_MIN:
         return None
@@ -189,12 +188,15 @@ def certify_finf_zero(f: ArrayFn, ctx: KernelContext,
     Returns None when the finf estimate is not approximately zero, or f
     fails to evaluate anywhere on the scan or at 0.
     """
-    if not finf_estimate.is_zero():
-        return None
-    us = _probe()[1:]
-    fvals, stop = _scan(f, _probe())
-    if stop <= len(us):
+    return _finf_certificate(ctx, finf_estimate, _scan(f, _probe()[_SCAN]))
+
+
+def _finf_certificate(ctx: KernelContext, finf_estimate: LimitEstimate,
+                      fvals: np.ndarray) -> Optional[FInfCertificate]:
+    """:func:`certify_finf_zero` from f on the probe's ``_SCAN`` slice."""
+    if not finf_estimate.is_zero() or np.isnan(fvals).any():
         return None  # f fails at 0 or overflows on the probe: no finite L or sigma
+    us = _probe()[1:_SCAN.stop]
     f_at_zero, fvals = float(fvals[0]), fvals[1:]
     sup_full = max(float(np.max(fvals)), f_at_zero)
     head = us <= BOUNDEDNESS_CAP / 10.0
@@ -223,6 +225,7 @@ class H1H2Report:
     h1: bool  # h1 and h2 always read true: check_h1_h2 raises on a violation
     h2: bool
     ctx: KernelContext
+    f_probe: np.ndarray = field(repr=False, compare=False)  # f on _probe(), NaN where f failed
 
 
 def check_h1_h2(f: ArrayFn, a: ArrayFn, quad: QuadratureSettings = quadrature.DEFAULT_SETTINGS,
@@ -237,7 +240,7 @@ def check_h1_h2(f: ArrayFn, a: ArrayFn, quad: QuadratureSettings = quadrature.DE
     where f overflows are skipped, since overflow says magnitude, not sign).
     """
     ctx = kernel.make_context(a, theta=theta, quad=quad)
-    us = _h1_probe()
+    us = _probe()
     try:
         fvals = f(us)
     except ExprEvalError as exc:
@@ -245,7 +248,7 @@ def check_h1_h2(f: ArrayFn, a: ArrayFn, quad: QuadratureSettings = quadrature.DE
             raise HypothesisViolation("H1", f"f cannot be evaluated at u = 0: {exc}") from exc
         fvals = exc.values  # NaN where f overflowed, which no comparison flags
     require_nonneg("H1", "f", us, fvals)
-    return H1H2Report(h1=True, h2=True, ctx=ctx)
+    return H1H2Report(h1=True, h2=True, ctx=ctx, f_probe=fvals)
 
 
 @dataclass(frozen=True)
@@ -258,12 +261,16 @@ class HypothesisReport:
     finf_certificate: Optional[FInfCertificate]  # None: large-amplitude criterion not certified
 
 
+def report_from_probe(f: ArrayFn, ctx: KernelContext, f_probe: np.ndarray) -> HypothesisReport:
+    """Both estimates and both certifications from f on ``_probe()`` (NaN
+    where f failed), as the gate keeps it: only rho1's scans evaluate f."""
+    us = _probe()
+    f0 = _ratio_schedule(us[_F0], f_probe[_F0])
+    finf = _ratio_schedule(us[_FINF], f_probe[_FINF])
+    return HypothesisReport(f0, finf, certify_f0_zero(f, ctx, f0),
+                            _finf_certificate(ctx, finf, f_probe[_SCAN]))
+
+
 def build_report(f: ArrayFn, ctx: KernelContext) -> HypothesisReport:
-    """Run both estimates, once each, and both certifications against a valid context."""
-    f0, finf = estimate_f0(f), estimate_finf(f)
-    return HypothesisReport(
-        f0_estimate=f0,
-        finf_estimate=finf,
-        f0_certificate=certify_f0_zero(f, ctx, f0),
-        finf_certificate=certify_finf_zero(f, ctx, finf),
-    )
+    """:func:`report_from_probe` after one evaluation of f on the probe."""
+    return report_from_probe(f, ctx, _scan(f, _probe()))

@@ -137,9 +137,11 @@ def make_context(
     inner = quadrature.nodes(theta, 1.0 - theta, quad)
     _, a_taus, a_inner = sample_weight(weight, H2_POINTS, taus, inner)
     alpha = quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)
-    if not 0.0 < alpha < 1.0:
+    rounding = len(taus) * np.finfo(float).eps * alpha  # bounds the sum's error, as a >= 0
+    if not 0.0 < alpha < 1.0 - rounding:  # 1 - alpha must not be rounding alone
+        near = f", 1 up to its rounding error {rounding:.2g}," if 0.0 < alpha < 1.0 else ","
         raise HypothesisViolation(
-            "H2", f"total mass of a over [0,1] is {alpha}, required strictly inside (0, 1)"
+            "H2", f"total mass of a over [0,1] is {alpha}{near} required strictly inside (0, 1)"
         )
     beta = quadrature._simpson_sum(inner, a_inner, theta, 1.0 - theta, quad)
     return KernelContext(

@@ -564,8 +564,41 @@ def test_analyze_overflow_on_boundedness_probe(tmp_path, capsys):
 H2_FAILURES = {
     "t-0.5": "a(0.0) = -0.5 < 0",
     "2*t": "total mass of a over [0,1] is 1.0, required strictly inside (0, 1)",
+    # unit masses whose quadrature sum rounds to just below 1: 1 - alpha is rounding alone
+    **{a: f"total mass of a over [0,1] is {alpha}, 1 up to its rounding error {rounding},"
+          " required strictly inside (0, 1)"
+       for a, alpha, rounding in [("3*t^2", "0.9999999999999999", "1.3e-13"),
+                                  ("1\nquad_panels = 1000", "0.9999999999999999", "6.7e-13"),
+                                  ("2*t\nquad_panels = 7", "0.9999999999999997", "4.7e-15"),
+                                  ("2*t\nquad_panels = 100", "0.9999999999999999", "6.7e-14")]},
     "0.1/(t-1/2)^2": "a cannot be evaluated at t = 0.5: division by zero at offset 3",
 }
+
+
+# f0 or finf reads 0, yet the certificate is refused (or Case 2 has no point
+# above the ray): the four branches the fixtures and the samples above skip
+CERTIFICATE_BRANCHES = {
+    # f(1e-9) = 1e-9 lies above (2/3) u at the first scan point
+    "1000000000000000000*u^3": ["f0 = 9.9999999999999995e-07 (converged)",
+                                "criterion_f0_zero_applicable = false"],
+    # f <= (2/3) u only up to u ~ 8.2e-7, below RHO1_MIN = 1e-6
+    "1000000000000*u^3": ["f0 = 9.9999999999999998e-13 (converged)",
+                          "criterion_f0_zero_applicable = false"],
+    # f <= u/2 < (2/3) u everywhere but grows through the last decade: rho2 is the first scan point
+    "0.5*u*exp(-u/1000000)": ["criterion_finf_zero_applicable = true", "bounded_case = false",
+                              "rho2 = 1.0000000000000001e-09", "sigma = 7.4999999999999927e-10",
+                              "rho_hat2 = 1.0000000000000001e-09"],
+    # f(1e6) = 0.78e6 lies above (2/3) u at the probe's cap
+    "u*exp(-(u/2000000)^2)": ["finf = 0 (converged)", "criterion_finf_zero_applicable = false"],
+}
+
+
+@pytest.mark.parametrize("f", CERTIFICATE_BRANCHES)
+def test_analyze_certificate_branches(tmp_path, capsys, f):
+    path = write_problem(tmp_path, f"f = {f}\na = t^2\n")
+    assert cli.main(["analyze", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert set(CERTIFICATE_BRANCHES[f]) <= set(lines)
 
 
 @pytest.mark.parametrize("command", ["analyze", "solve"])
@@ -761,7 +794,9 @@ def test_evaluations_per_command(tmp_path, capsys, monkeypatch, command, a_evals
     # solve reads a in the gate's context, on Picard's grid and on the oracle's
     # grid (the CSV rows read Picard's report); analyze only in the gate's
     # context.  The H1 probe runs once, and f is never evaluated point by
-    # point: its smallest array is the 8-point finf schedule.
+    # point: its smallest array is the 8-point finf schedule.  analyze reads
+    # the limit schedules and the boundedness scan from the gate's probe, so
+    # f is evaluated again only on rho1's scan and its three rescans.
     calls = []
     evaluate = ExpressionFn.__call__
 
@@ -773,8 +808,17 @@ def test_evaluations_per_command(tmp_path, capsys, monkeypatch, command, a_evals
     fixture = resources.files("beambvp.fixtures").joinpath("example_a.problem")
     assert cli.main([command, str(fixture), "--out", str(tmp_path / "out")]) == 0
     assert sum(source == "t^2" for source, _ in calls) == a_evals
-    assert calls.count(("u*(1-exp(-u))", len(hypotheses._h1_probe()))) == 1
+    probe = len(hypotheses._probe())
+    assert calls.count(("u*(1-exp(-u))", probe)) == 1
     assert min(size for source, size in calls if source == "u*(1-exp(-u))") >= 8
+    if command == "analyze":
+        # never the 12- or 8-point schedule, nor the 10,001-point boundedness scan
+        sizes = [size for source, size in calls if source == "u*(1-exp(-u))"]
+        assert sizes == [probe, 10**4, 4097, 4097, 4097]
+        calls.clear()
+        fixture = resources.files("beambvp.fixtures").joinpath("example_b.problem")
+        assert cli.main([command, str(fixture), "--out", str(tmp_path / "out")]) == 0
+        assert [size for source, size in calls if source != "t^2"] == [probe]
 
 
 # --- reproduce-examples -----------------------------------------------------

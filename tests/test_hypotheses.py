@@ -185,6 +185,31 @@ def test_unbounded_sublinear_certificate(ctx_t2):
     assert np.all(f(us[head]) <= cert.eta * cert.sigma + 1e-12)
 
 
+@pytest.mark.parametrize("text", ["1000000000000000000*u^3", "1000000000000*u^3"],
+                         ids=["first-scan-point-above", "rho1-below-min"])
+def test_certificate_refused_although_f0_is_zero(ctx_t2, text):
+    # f(1e-9) = 1e-9 > (2/3) 1e-9; or f <= (2/3) u only up to u ~ 8.2e-7 < RHO1_MIN
+    f = parse(text, "u")
+    est = estimate_f0(f)
+    assert est.is_zero() and certify_f0_zero(f, ctx_t2, est) is None
+
+
+def test_case2_with_no_point_above_the_ray(ctx_t2):
+    # f <= u/2 < (2/3) u everywhere, and f grows through the probe's last decade
+    f = parse("0.5*u*exp(-u/1000000)", "u")
+    cert = certify_finf_zero(f, ctx_t2, estimate_finf(f))
+    first = float(hypotheses._probe()[1])
+    assert not cert.bounded_case and cert.rho2 == first == pytest.approx(1e-9, rel=1e-15)
+    assert cert.sigma == f(first) / cert.eta and cert.rho_hat2 == first
+
+
+def test_case2_refused_above_the_ray_at_the_cap(ctx_t2):
+    # finf = 0, but f(1e6) = 1e6 exp(-1/4) lies above (2/3) u
+    f = parse("u*exp(-(u/2000000)^2)", "u")
+    est = estimate_finf(f)
+    assert est.is_zero() and certify_finf_zero(f, ctx_t2, est) is None
+
+
 # --- H1 / H2 ---------------------------------------------------------------
 
 
@@ -269,6 +294,17 @@ def test_report_coherence(ctx_t2):
             assert eta is None or eta <= 1.0 - ctx_t2.alpha
 
 
+@pytest.mark.parametrize("text", [
+    "u*(1-exp(-u))", "1-exp(-u)", "u^2", "u", "exp(u)", "1e300*u + 1e300", "exp(800-(u-500)^2)",
+    "1000000000000*u^3", "0.5*u*exp(-u/1000000)", "u*exp(-(u/2000000)^2)", "exp(4000*u*(1-u)) + 1",
+])
+def test_report_from_the_gate_probe_matches_build_report(ctx_t2, text):
+    # analyze reads the gate's values; the library adapter evaluates f itself
+    f = parse(text, "u")
+    gate = check_h1_h2(f, A_QUADRATIC)
+    assert hypotheses.report_from_probe(f, gate.ctx, gate.f_probe) == build_report(f, ctx_t2)
+
+
 # --- probe grids --------------------------------------------------------------
 
 
@@ -279,11 +315,11 @@ def test_probe_grids_are_cached_read_only_and_bit_identical():
         assert grid.tobytes() == np.logspace(-9.0, hi_exp, 10**4).tobytes()
     probe = hypotheses._probe()
     assert probe is hypotheses._probe() and not probe.flags.writeable
-    assert probe.tobytes() == np.concatenate(([0.0], np.logspace(-9.0, 6.0, 10**4))).tobytes()
+    scan = np.concatenate(([0.0], np.logspace(-9.0, 6.0, 10**4)))
+    assert probe[hypotheses._SCAN].tobytes() == scan.tobytes()
     with pytest.raises(ValueError):
         probe[0] = 1.0
-    # the H1 probe appends both limit schedules, so its first failure keeps its wording
-    h1 = hypotheses._h1_probe()
-    assert h1 is hypotheses._h1_probe() and not h1.flags.writeable
-    schedules = [u for u, _ in estimate_f0(F_BOUNDED).samples + estimate_finf(F_BOUNDED).samples]
-    assert h1[: len(probe)].tobytes() == probe.tobytes() and h1[len(probe):].tolist() == schedules
+    # both limit schedules follow the scan, so the H1 gate's first failure keeps its wording
+    assert probe[len(scan):].tolist() == list(hypotheses.F0_SCHEDULE + hypotheses.FINF_SCHEDULE)
+    assert probe[hypotheses._F0].tolist() == list(hypotheses.F0_SCHEDULE)
+    assert probe[hypotheses._FINF].tolist() == list(hypotheses.FINF_SCHEDULE)

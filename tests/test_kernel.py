@@ -95,6 +95,12 @@ def test_make_context_rejects_unit_mass():
     assert exc.value.which == "H2"
 
 
+def test_make_context_accepts_mass_near_one():
+    # 1 - alpha = 1e-6 is far above the sum's rounding bound, 1.3e-13 (3t^2 itself is refused)
+    ctx = make_context(parse("0.999999*3*t^2", "t"))
+    assert ctx.alpha == pytest.approx(0.999999, abs=1e-15)
+
+
 def test_make_context_rejects_zero_mass():
     with pytest.raises(HypothesisViolation):
         make_context(parse("0", "t"))

@@ -220,6 +220,35 @@ def test_picard_falls_back_to_the_plain_image(ctx_t2, monkeypatch, failures):
     assert np.max(np.abs(report.solution.values - unperturbed.solution.values)) < 1e-10
 
 
+def test_picard_singular_gram_takes_the_plain_step(ctx_t2, monkeypatch):
+    # a singular Gram matrix at the first mixed step (a 1 x 1 system): the
+    # mixer clears its history, the next iterate is the plain image, and the
+    # step after solves with the one difference held since
+    f, config = parse("130*u/(1+u)", "u"), SolveConfig(n=200, u0=1.0)
+    unperturbed = picard_solve(f, ctx_t2, config)
+    solve, sizes = np.linalg.solve, []
+
+    def singular_once(gram, rhs):
+        sizes.append(len(gram))
+        if len(sizes) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(gram, rhs)
+
+    apply, calls = solver.apply_A, []
+
+    def recording_apply(u, f, op):
+        fvals, au = apply(u, f, op)
+        calls.append((u.values, au))
+        return fvals, au
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    monkeypatch.setattr(solver, "apply_A", recording_apply)
+    report = picard_solve(f, ctx_t2, config)
+    assert np.array_equal(calls[2][0], calls[1][1]) and sizes[:4] == [1, 1, 2, 3]
+    assert (unperturbed.iterations, report.iterations, report.status) == (13, 17, "converged")
+    assert np.max(np.abs(report.solution.values - unperturbed.solution.values)) < 1e-8
+
+
 @pytest.mark.parametrize(
     "f_text, u0, status",
     [("1+u", 1.0, "converged"), ("exp(u)", 709.7825, "diverged"),
