@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``verify-lemmas``: grid checks of the kernel inequalities plus cone
+* ``verify-lemmas``: exact proofs of the kernel inequalities plus cone
   checks on random nonnegative loads; exit 0 iff everything holds.
 * ``solve FILE``: Picard solve cross-checked against the collocation
   oracle; writes a solution CSV and prints a summary block.
@@ -29,13 +29,14 @@ import functools
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import csvtext, hypotheses, kernel, solver
+from . import bernstein, csvtext, hypotheses, kernel, solver
 from .errors import HypothesisViolation
 from .exprlang import ExpressionFn, ExprSyntaxError, parse
 from .grid import GridFunction
@@ -52,7 +53,7 @@ EXIT_NONCONVERGENCE = 4
 
 _RNG_SEED = 20240801
 _DEFAULT_THETAS = (0.1, 0.25, 0.4)
-_MAX_LEMMA_GRID = 2000  # verify-lemmas builds dense (grid + 1)^2 arrays
+_CONE_N = 400  # intervals of the operator that each cone check applies
 
 
 class ProblemError(ValueError):
@@ -201,36 +202,19 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 # verify-lemmas
 
 
-def _kernel_grid_checks(thetas: Sequence[float], n: int) -> list[dict]:
-    """Grid checks of kernel nonnegativity, two-sided bound, boundary identity."""
-    ts = np.linspace(0.0, 1.0, n + 1)
-    g_mat = kernel.green_matrix(ts, ts)  # rows t, cols s
-    g_env = kernel.g_weight(ts)
-
-    def worst(check, theta, gap, limit, rows):  # the minimum of gap, located
-        wi, wj = np.unravel_index(int(np.argmin(gap)), gap.shape)
-        value = float(gap[wi, wj])
-        return dict(check=check, theta=theta, value=value, limit=limit,
-                    ok=value >= limit, t=float(rows[wi]), s=float(ts[wj]))
-
-    results = [worst("nonnegativity", None, g_mat, -1e-14, ts)]
+def _kernel_proofs(thetas: Sequence[float]) -> list[dict]:
+    """Exact proofs of G >= 0, theta^3 g <= G <= g on [theta, 1 - theta] x [0, 1]
+    with theta taken exactly, and G(1, s) = g(s) as -(G(1, s) - g(s))^2 >= 0."""
+    g, prove = kernel.g_envelope, bernstein.prove
+    proofs = [("nonnegativity", None, prove(lambda G, t, s: G, 0, 1))]
     for theta in thetas:
-        inner = (ts >= theta - 1e-12) & (ts <= 1.0 - theta + 1e-12)
-        if not inner.any():
-            raise ProblemError(f"a {n}-interval grid has no node in [theta, 1 - theta] "
-                               f"for theta = {theta}")
-        block = g_mat[inner, :]
-        results.append(worst("lower-bound", theta, block - (theta**3) * g_env[None, :],
-                             -1e-12, ts[inner]))
-        results.append(worst("upper-bound", theta, g_env[None, :] - block, -1e-12, ts[inner]))
-
-    boundary_gap = float(np.max(np.abs(g_mat[-1, :] - g_env)))
-    wj = int(np.argmax(np.abs(g_mat[-1, :] - g_env)))
-    results.append(
-        dict(check="boundary-identity", theta=None, value=boundary_gap, limit=1e-14,
-             ok=boundary_gap < 1e-14, t=1.0, s=float(ts[wj]))
-    )
-    return results
+        th = Fraction(theta)
+        proofs += [("lower-bound", theta, prove(lambda G, t, s: G - th**3 * g(s), th, 1 - th)),
+                   ("upper-bound", theta, prove(lambda G, t, s: g(s) - G, th, 1 - th))]
+    proofs.append(("boundary-identity", None, prove(lambda G, t, s: -(G - g(s)) ** 2, 1, 1)))
+    return [dict(check=check, theta=theta, value=float(lower), limit=0.0, ok=verdict == "proven",
+                 verdict=verdict, t=where and float(where[0]), s=where and float(where[1]))
+            for check, theta, (verdict, lower, where) in proofs]
 
 
 def _random_nonneg_poly(rng: np.random.Generator, degree: int) -> np.ndarray:
@@ -275,16 +259,17 @@ def _cone_checks(thetas: Sequence[float], n: int) -> list[dict]:
 def cmd_verify_lemmas(args) -> int:
     _check_output_paths(args.report)
     thetas = args.theta or list(_DEFAULT_THETAS)
-    results = _kernel_grid_checks(thetas, args.grid)
-    results += _cone_checks(thetas, min(args.grid * 2, 400))
-    print(f"kernel inequality checks on a {args.grid + 1} point grid, "
+    results = _kernel_proofs(thetas) + _cone_checks(thetas, _CONE_N)
+    print(f"kernel inequalities by exact proof, cone checks on {_CONE_N} intervals, "
           f"thetas {', '.join(_fmt(t) for t in thetas)}")
     failed = False
     for res in results:
         status = "ok " if res["ok"] else "FAIL"
-        where = ""
+        where = f" {res['verdict']}" if "verdict" in res else ""
         if res["t"] is not None:
-            where = f" at (t={_fmt(res['t'])}, s={_fmt(res['s'])}, theta={_fmt(res['theta'])})"
+            where += f" at (t={_fmt(res['t'])}, s={_fmt(res['s'])})"
+        if where and res["theta"] is not None:
+            where += f" for theta={_fmt(res['theta'])}"
         print(f"  [{status}] {res['check']:<18} worst {_fmt(res['value'])}"
               f" (limit {_fmt(res['limit'])}){where}")
         failed = failed or not res["ok"]
@@ -515,15 +500,6 @@ def _theta_list(text: str) -> list[float]:
     return values
 
 
-def _lemma_grid(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if not 1 <= value <= _MAX_LEMMA_GRID:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in [1, {_MAX_LEMMA_GRID}] (the checks build dense "
-            f"(grid + 1)^2 arrays), got {value}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_PARSE (argparse's own 2 is EXIT_HYPOTHESIS);
     subparsers inherit the class."""
@@ -542,11 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify-lemmas", help="grid checks of the kernel inequalities")
+    p_verify = sub.add_parser("verify-lemmas", help="exact proofs of the kernel inequalities")
     p_verify.add_argument("--theta", type=_theta_list, default=None,
                           help="comma-separated thetas in (0, 1/2)")
-    p_verify.add_argument("--grid", type=_lemma_grid, default=200,
-                          help=f"grid intervals, at most {_MAX_LEMMA_GRID} (default 200)")
     p_verify.add_argument("--report", default=None, help="optional CSV report path")
     p_verify.set_defaults(func=cmd_verify_lemmas)
 

@@ -40,30 +40,38 @@ H2_POINTS = np.linspace(0.0, 1.0, 1001)  # uniform points where (H2) samples a
 _ArrayLike = Union[float, np.ndarray]
 
 
-def _green_raw(t: _ArrayLike, s: _ArrayLike) -> _ArrayLike:
-    """Branch formula, no domain checks; broadcasts over arrays."""
-    upper = t**3 * (1.0 - s) ** 2
-    return np.where(s <= t, upper - (t - s) ** 3, upper) / 6.0
+def green_s_le_t(t, s):
+    """G for s <= t; this, green_s_ge_t and g_envelope are the formulas, with no
+    domain checks, that arrays and the exact proofs of beambvp.bernstein run."""
+    return (t**3 * (1.0 - s) ** 2 - (t - s) ** 3) / 6.0
+
+
+def green_s_ge_t(t, s):
+    return t**3 * (1.0 - s) ** 2 / 6.0
+
+
+def g_envelope(s):
+    return s * (1.0 - s) ** 2 / 6.0
 
 
 def green(t: float, s: float) -> float:
     """Green's function G(t, s) on [0, 1]^2; the branches agree at t = s."""
     _check_unit(t, "t")
     _check_unit(s, "s")
-    return float(_green_raw(t, s))
+    return float(green_s_le_t(t, s) if s <= t else green_s_ge_t(t, s))
 
 
 def green_matrix(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
     """G evaluated on the grid product ts x ss, shape (len(ts), len(ss))."""
-    ts = np.asarray(ts, dtype=float)
-    ss = np.asarray(ss, dtype=float)
-    return _green_raw(ts[:, None], ss[None, :])
+    t = np.asarray(ts, dtype=float)[:, None]
+    s = np.asarray(ss, dtype=float)[None, :]
+    return np.where(s <= t, green_s_le_t(t, s), green_s_ge_t(t, s))
 
 
 def g_weight(s: _ArrayLike) -> _ArrayLike:
     """Upper envelope g(s) = s (1-s)^2 / 6 = G(1, s); vanishes at 0 and 1."""
     _check_unit(s, "s")
-    return s * (1.0 - s) ** 2 / 6.0
+    return g_envelope(s)
 
 
 def _check_unit(x: _ArrayLike, name: str):

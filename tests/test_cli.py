@@ -98,18 +98,21 @@ def test_verify_lemmas_default_passes(capsys):
     assert cli.main(["verify-lemmas"]) == 0
     out = capsys.readouterr().out
     assert "verify-lemmas: PASS" in out
+    assert out.count(" proven") == 8  # nonnegativity, two bounds per theta, boundary identity
 
 
 def test_verify_lemmas_near_boundary_theta(capsys):
-    assert cli.main(["verify-lemmas", "--theta", "0.49", "--grid", "400"]) == 0
+    assert cli.main(["verify-lemmas", "--theta", "0.49"]) == 0
+    assert capsys.readouterr().out.count(" proven") == 4
 
 
 def test_verify_lemmas_corrupted_kernel_fails(monkeypatch, capsys):
-    green_matrix = cli.kernel.green_matrix
-    monkeypatch.setattr(cli.kernel, "green_matrix", lambda ts, ss: -green_matrix(ts, ss))
+    branch = cli.kernel.green_s_le_t  # the formula the proof runs
+    monkeypatch.setattr(cli.kernel, "green_s_le_t", lambda t, s: -branch(t, s))
     assert cli.main(["verify-lemmas"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+    assert "refuted at (t=0.10000000000000001, s=0.10000000000000001)" in out
 
 
 def test_verify_lemmas_report_file(tmp_path, capsys):
@@ -123,6 +126,9 @@ def test_verify_lemmas_report_file(tmp_path, capsys):
     assert nonneg[1] == "n/a"  # None
     assert nonneg[4] == "true"  # bool
     assert rows[1][1] == "0.10000000000000001"  # theta 0.1 to 17 significant digits
+    assert rows[1][2:] == ["0", "0", "true", "n/a", "n/a"]  # proven: no refuting vertex
+    identity = next(row for row in rows if row[0] == "boundary-identity")
+    assert identity[2] == "0"  # G(1, s) - g(s) is the zero polynomial
 
 
 # --- solve ------------------------------------------------------------------
@@ -885,10 +891,11 @@ def test_reproduce_examples_bad_override_creates_no_dir(tmp_path, capsys):
     [
         "verify-lemmas --theta 0.7",
         "verify-lemmas --theta 0.1,x",
+        # --grid went with the sampled kernel checks: any value is now refused
         "verify-lemmas --grid 0",
         "verify-lemmas --grid -4",
-        "verify-lemmas --grid 1",  # no node in [theta, 1 - theta]
-        "verify-lemmas --grid 2001",  # dense (grid + 1)^2 checks: a memory cliff
+        "verify-lemmas --grid 1",
+        "verify-lemmas --grid 2001",
         "solve",
         "no-such-command",
     ],
@@ -929,14 +936,14 @@ def test_grid_self_consistency(tmp_path, capsys):
         pytest.param(["solve", "{problem}", "--out", "{ok}", "--plot-data", "{bad}"],
                      id="solve-plot-data"),
         ["analyze", "{problem}", "--out", "{bad}"],
-        ["verify-lemmas", "--grid", "20", "--report", "{bad}"],
+        ["verify-lemmas", "--report", "{bad}"],
         ["reproduce-examples", "--grid", "40", "--out-dir", "{bad}"],
         # a file output that names an existing directory
         pytest.param(["solve", "{problem}", "--out", "{dir}"], id="solve-dir"),
         pytest.param(["solve", "{problem}", "--out", "{ok}", "--plot-data", "{dir}"],
                      id="solve-plot-data-dir"),
         pytest.param(["analyze", "{problem}", "--out", "{dir}"], id="analyze-dir"),
-        pytest.param(["verify-lemmas", "--grid", "20", "--report", "{dir}"],
+        pytest.param(["verify-lemmas", "--report", "{dir}"],
                      id="verify-lemmas-dir"),
         # an output that names the input file or another output
         pytest.param(["solve", "{problem}", "--out", "{problem}"], id="solve-out-is-input"),

@@ -25,6 +25,20 @@ def test_green_point_values():
     assert green(1.0, 0.5) == pytest.approx(1.0 / 48.0, abs=1e-16)
 
 
+def _green_one_expression(t, s):
+    """G as one expression, before its branches were split out for the proofs."""
+    upper = t**3 * (1.0 - s) ** 2
+    return np.where(s <= t, upper - (t - s) ** 3, upper) / 6.0
+
+
+def test_branch_split_bit_identical():
+    reference = _green_one_expression(GRID[:, None], GRID[None, :])
+    assert green_matrix(GRID, GRID).tobytes() == reference.tobytes()
+    points = [(float(t), float(s)) for t, s in zip(GRID, GRID[::-1])] + [(0.3, 0.3), (0.7, 0.2)]
+    assert [green(t, s) for t, s in points] == [float(_green_one_expression(t, s)) for t, s in points]
+    assert g_weight(GRID).tobytes() == (GRID * (1.0 - GRID) ** 2 / 6.0).tobytes()
+
+
 def test_green_domain_checked():
     with pytest.raises(ValueError):
         green(1.2, 0.0)
