@@ -310,14 +310,13 @@ def _solve_problem(problem: ProblemFile, h1h2, u0_override: Optional[str], out_p
     """Solve, cross-check, write the CSVs and print the summary; shared by
     cmd_solve and cmd_reproduce_examples.  Returns the outcome and exit code.
 
-    The oracle runs on min(n, ``solver.ORACLE_N_MAX``) intervals; where both converge but it is
-    more than ``solver.agreement_bound`` (or None) from Picard's A f(u) at its nodes, it exits 4."""
+    Where both converge but the oracle's interpolant is more than
+    ``solver.agreement_bound`` (or None) from Picard's A f(u) on the grid, it exits 4."""
     ctx, config = h1h2.ctx, problem.config(u0_override)
     report = solver.picard_solve(problem.f, ctx, config)
-    n_o = min(config.n, solver.ORACLE_N_MAX)
-    colloc = solver.collocation_oracle(problem.f, ctx, dataclasses.replace(config, n=n_o))
-    nystrom = np.inf if report.fvals is None else operator_matrix(ctx, config.n, n_o)(report.fvals)
-    agreement = float(np.max(np.abs(colloc.solution.values - nystrom)))
+    colloc = solver.collocation_oracle(problem.f, ctx, config)
+    agreement = (np.inf if report.au is None
+                 else float(np.max(np.abs(colloc.solution.values - report.au))))
     outcome = dict(h1h2=h1h2, config=config, report=report, colloc=colloc, agreement=agreement)
     rows = _solution_csv_rows(report.solution, problem.f, ctx, report)
     _write_csv(out_path, ["t", "u", "Au", "fourth_diff_residual"], rows)
@@ -327,13 +326,13 @@ def _solve_problem(problem: ProblemFile, h1h2, u0_override: Optional[str], out_p
     print(f"solution written to {out_path}")
     if report.status != "converged" or colloc.status != "converged":
         return outcome, EXIT_NONCONVERGENCE
-    bound = solver.agreement_bound(report, colloc, problem.f, ctx, config, agreement)
+    bound = solver.agreement_bound(report, colloc, problem.f, ctx, agreement)
     if bound is not None and agreement <= bound:
         return outcome, EXIT_OK
     print(f"error: Picard and the collocation oracle found different fixed points: "
           f"oracle_agreement_sup {_fmt(agreement)} exceeds {_fmt(bound)}" if bound is not None else
           f"error: oracle_agreement_sup {_fmt(agreement)} exceeds the stopping rules' error, and "
-          f"the oracle's error is unmeasured: its solve on {2 * n_o} intervals did not converge",
+          "Picard's error is unmeasured: f or A fails at the oracle's solution",
           file=sys.stderr)
     return outcome, EXIT_NONCONVERGENCE
 

@@ -14,7 +14,7 @@ binomial shift plus the exact moment of one panel: four chained prefix
 sums that add, never subtract, earlier moments, so nothing large
 cancels.  The even nodes 0, 2, ..., n - 2 are panel starts and read J3
 there; a point inside a panel (an odd node, node n, an abscissa of the
-correction rule, a node of another grid) adds the closed-form partial-
+correction rule, any given point) adds the closed-form partial-
 panel moment.  The nonlocal constant, integral of c(s) y(s) ds, is the
 same evaluator summed over the context's correction rule (``ctx.taus``,
 ``ctx.tau_weights``).  Building the operator does the y-independent work
@@ -62,24 +62,28 @@ def _partial_moment3(xi: np.ndarray) -> np.ndarray:
 
 
 def operator_matrix(ctx: KernelContext, n: int,
-                    nodes: int | None = None) -> Callable[[np.ndarray], np.ndarray]:
+                    points: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """The (n+1) x (n+1) operator mapping grid y-values to grid u-values,
-    as its apply function ``op(y)``; with ``nodes`` = m, op(y) is A y at the
-    nodes of the grid on m intervals instead, the same where the grids share one.
+    as its apply function ``op(y)``; with ``points``, an array of t in
+    [0, 1], op(y) is A y at those points instead, the same at a grid node.
 
     Building it does the y-independent work once: where each in-panel point
-    (odd node, node n or node on m intervals, abscissa of the context's
-    correction rule) falls in its panel.  ``op(y)`` then applies it in O(n)
-    time and memory; no matrix is formed.
+    (odd node, node n or given point, abscissa of the context's correction
+    rule) falls in its panel.  ``op(y)`` then applies it in O(n) time and
+    memory; no matrix is formed.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"operator grid needs even n >= 2, got n={n}")
     panels = n // 2
     d = 1.0 / panels
     # x = t / d, in panel units, of the points inside a panel: the odd nodes and
-    # node n, or the m + 1 nodes (exact where shared), then the rule's abscissae
-    inner = (np.append(np.arange(1, n + 1, 2) / 2.0, panels) if nodes is None
-             else np.arange(nodes + 1) * panels / nodes)
+    # node n, or the given points, then the rule's abscissae
+    if points is None:
+        inner = np.append(np.arange(1, n + 1, 2) / 2.0, panels)
+    else:  # a point within rounding of a node is that node, so op(y) matches the grid there
+        inner = np.asarray(points, dtype=float) * panels
+        node = np.round(2.0 * inner) / 2.0
+        inner = np.where(np.abs(inner - node) <= 4.0 * np.finfo(float).eps * panels, node, inner)
     n_inner = len(inner)
     x = np.concatenate((inner, ctx.taus * panels))
     p = np.minimum(x.astype(int), panels - 1)
@@ -122,7 +126,7 @@ def operator_matrix(ctx: KernelContext, n: int,
             np.subtract(cube * j[2, -1], v, out=v)
             v /= 6.0
             constant = ctx.tau_weights @ v[n_inner:]
-            if nodes is not None:
+            if points is not None:
                 return v[:n_inner] + constant
             u = np.empty(n + 1)
             even = u[0:n:2]

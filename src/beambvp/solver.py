@@ -1,5 +1,5 @@
 """Fixed-point operator, Picard iteration, residual diagnostics, and an
-independent finite-difference collocation oracle.
+independent Chebyshev collocation oracle.
 
 The nonlinear operator is
 
@@ -15,17 +15,21 @@ carry a ``trivial`` flag (sup-norm below 1e-8 plus Picard's stopping error,
 not diverged: the last finite iterate of a diverged run is no fixed point)
 so a collapse to zero is never presented as a positive solution.
 
-``collocation_oracle`` solves the differential form directly -- banded
-fourth-difference rows, one-sided boundary stencils, one dense row for
-the nonlocal condition -- by damped Newton with O(n) linear solves.  It
-shares nothing with the kernel path beyond the grid, which is what makes
-cross-checking the two meaningful.
+``collocation_oracle`` solves the differential form directly -- u'''' +
+f(u) = 0 collocated at ``ORACLE_N`` + 1 Chebyshev points, with bordering
+rows for the boundary conditions and Clenshaw-Curtis weights for the
+nonlocal one -- by damped Newton with dense (N + 1) x (N + 1) solves, and
+returns its interpolant on the solve's grid.  It shares nothing with the
+kernel path beyond the weight a, which is what makes cross-checking the
+two meaningful; ``agreement_bound`` decides when they found one fixed
+point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -40,13 +44,37 @@ from .linear import ConeCheck, cone_ratio, operator_matrix
 TRIVIALITY_THRESHOLD = 1e-8
 BOUND_SLACK = 1e-10
 INTERIOR_FLOOR = 1e-6  # the absolute part of interior_tolerance
-ORACLE_N_MAX = 400  # the oracle's most accurate grid: rounding grows like eps n^4 above it
+ORACLE_N = 24  # the oracle's Chebyshev degree: D4's entries grow like N^8, and 24 measured best
+NEWTON_RTOL = 1e-8  # the oracle's Newton stop, relative to sup |u|: 30x its rounding floor near mu1
 MAX_GRID_N = 2**20  # a solve takes about 190 bytes per node: under 0.3 GB at the bound
 ANDERSON_DEPTH = 5  # images that picard_solve mixes into each iterate
 
 _D1_FORWARD = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0  # order 3
 _D2_FORWARD = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / 12.0  # order 3
-_D4_CENTRAL = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
+# (1 - cos(pi j / N)) / 2 by math.sin: numpy's sin kernels would page in at import (0.3 MB)
+CHEBYSHEV_POINTS = np.array([math.sin(math.pi * j / (2 * ORACLE_N)) ** 2 for j in range(ORACLE_N + 1)])
+
+
+@functools.cache  # on the oracle's first call: commands without one make no matrix product
+def _chebyshev() -> tuple[np.ndarray, ...]:
+    """At CHEBYSHEV_POINTS: d/dt, its square and fourth power, the map from values
+    to the interpolant's Chebyshev coefficients in x = 1 - 2t, and Clenshaw-Curtis
+    weights (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ``cheb``, ``clencurt``)."""
+    n, j = ORACLE_N, np.arange(ORACLE_N + 1)
+    ends = (j == 0) | (j == n)
+    # t_i - t_j as a product of sines, without cancellation
+    gaps = np.sin(np.pi * (j[:, None] + j) / (2 * n)) * np.sin(np.pi * (j[:, None] - j) / (2 * n))
+    np.fill_diagonal(gaps, 1.0)
+    c = np.where(ends, 2.0, 1.0) * (-1.0) ** j
+    d = np.outer(c, 1.0 / c) / gaps
+    np.fill_diagonal(d, 0.0)
+    d[j, j] = -d.sum(axis=1)
+    half = np.where(ends, 0.5, 1.0)
+    to_coeffs = (2.0 / n) * half[:, None] * np.cos(np.pi * np.outer(j, j) / n) * half
+    moments = np.zeros(n + 1)  # the integrals of T_j(1 - 2t) over [0, 1]
+    moments[::2] = 1.0 / (1.0 - j[::2] ** 2)
+    d2 = d @ d
+    return d, d2, d2 @ d2, to_coeffs, moments @ to_coeffs
 
 
 @dataclass(frozen=True)
@@ -60,7 +88,7 @@ class SolveConfig:
     u0: float = 0.0
 
     def __post_init__(self):
-        if self.n < 20 or self.n % 2 != 0:  # 20: the collocation oracle's smallest grid
+        if self.n < 20 or self.n % 2 != 0:  # 20: the documented floor, kept so no exit code moves
             raise ValueError(f"grid resolution must be even and >= 20, got {self.n}")
         if self.n > MAX_GRID_N:
             raise ValueError(f"grid resolution must be at most {MAX_GRID_N}, got {self.n}")
@@ -114,13 +142,15 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class CollocationResult:
-    solution: GridFunction = field(repr=False)
+    solution: GridFunction = field(repr=False)  # its interpolant on the solve's grid
     status: str  # converged | stagnated | max_iter | diverged
     iterations: int
-    residual: float
+    residual: float  # sup of the row-equilibrated collocation equations
     residual_trace: list[float] = field(repr=False)  # initial, then one per step
     halvings: list[int] = field(repr=False)  # step halvings per Newton step
-    error_estimate: float = 0.0  # sup of a Newton step at the solution; 0: not computed
+    nodes: np.ndarray = field(repr=False)  # its values at CHEBYSHEV_POINTS
+    error_estimate: float  # sup of the last Newton step, d_o; inf: none solved
+    amplification: float  # sup norm of (I - A f')^-1 at the solution; inf: not converged
 
 
 def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
@@ -334,36 +364,32 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
 
 
 def agreement_bound(report: SolveReport, colloc: CollocationResult, f: ExpressionFn,
-                    ctx: KernelContext, config: SolveConfig, agreement: float) -> float | None:
-    """The largest sup distance, on the oracle's nodes, between its solution u_o
-    (n_o intervals) and Picard's Nystrom values A f(u), within r of u on a shared
-    node, at which the two, converged, count as one fixed point: 2 (r + d_o) /
-    (1 - theta) + 5 ||u_o - u_2o||.  The first part is twice the a-posteriori
-    error of the two stopping rules: r = ||u - A u|| is Picard's residual and
-    theta = r / (its last step), at most 0.999, its contraction; d_o bounds the
-    oracle's error from its final defect, its residual in D4 units (times n_o^4)
-    over 72 (1 - alpha), the bound on ||A||; the residual counts as at least the
-    smallest subnormal, since h_o^4 f can underflow in the scaled rows, where a
-    residual of 0 proves nothing.  That bound ignores f', so near mu1 (I - A f'
-    nearly singular) d_o is the oracle's Newton estimate of its error where that
-    is larger.  The second measures the oracle's discretization
-    error without Picard: u_2o, an oracle solve on 2 n_o intervals from the same
-    initial guess, on the n_o nodes.  At order p, Richardson's estimate of u_o's
-    error is 2^p / (2^p - 1) times their distance, 4/3 at the oracle's p = 2 and
-    at most 2 for p >= 1; 5 keeps a margin of 1.5 on grids too coarse for the
-    order to show (2.7 at n_o = 20, f' = 170).  u_2o is solved only where
-    ``agreement`` exceeds the first part; None where it does not converge."""
-    n_o = colloc.solution.n
+                    ctx: KernelContext, agreement: float) -> float | None:
+    """The largest sup distance, on the grid, between the oracle's interpolant
+    u_o and Picard's Nystrom values A f(u) at which the two, converged, count
+    as one fixed point.  First 2 (r + d_o) / (1 - theta), twice the stopping
+    rules' errors: r = ||u - A u||, theta = r / (Picard's last step), at most
+    0.999, and d_o the oracle's last Newton step.  Only where ``agreement``
+    exceeds it, Picard's map is applied to u_o: e = |A f(u_o) - u_o| at the
+    Chebyshev points is Picard's discretization error there, plus the
+    oracle's, and with the oracle's K = ||(I - A f')^-1|| the bound is
+    2 (K (r + e) + d_o), which also stands in for a theta that Anderson
+    mixing makes understate the contraction.  None where f fails or A
+    overflows at u_o."""
     r = report.residual_integral
     theta = _contraction(r, report.delta_trace[-1])
-    residual = max(colloc.residual, np.finfo(float).smallest_subnormal)
-    d_o = max(residual * float(n_o) ** 4 / (72.0 * (1.0 - ctx.alpha)), colloc.error_estimate)
-    stopping = 2.0 * (r + d_o) / (1.0 - theta)
+    stopping = 2.0 * (r + colloc.error_estimate) / (1.0 - theta)
     if agreement <= stopping:
         return stopping
-    fine = collocation_oracle(f, ctx, replace(config, n=2 * n_o))
-    distance = float(np.max(np.abs(colloc.solution.values - fine.solution.values[::2])))
-    return stopping + 5.0 * distance if fine.status == "converged" else None
+    u_o = colloc.solution
+    try:
+        nystrom = operator_matrix(ctx, u_o.n, CHEBYSHEV_POINTS)(f(np.maximum(u_o.values, 0.0)))
+    except ExprEvalError:
+        return None
+    if not np.isfinite(nystrom).all():
+        return None
+    e = float(np.max(np.abs(nystrom - colloc.nodes)))
+    return 2.0 * (colloc.amplification * (r + e) + colloc.error_estimate)
 
 
 def _f_derivative(f: ExpressionFn, x: np.ndarray, delta: float = 1e-6) -> np.ndarray:
@@ -390,80 +416,62 @@ def _collocation_system(u: np.ndarray, fvals: np.ndarray, aw: np.ndarray, h: flo
     return r
 
 
-def _newton_step(
-    u: np.ndarray, residual: np.ndarray, f: ExpressionFn, aw: np.ndarray, h: float
-) -> np.ndarray | None:
-    """Solve J step = -residual for the Jacobian J of ``_collocation_system``
-    in O(n); None where f fails at the probe of f'.  Rows 0..n-1 of J are
-    banded (2 below, 3 above the diagonal) in LAPACK storage ab[3 + i - j, j];
-    the dense row J[n] = e_0 - aw is replaced by e_n and restored by Sherman-Morrison."""
-    import scipy.linalg  # deferred: only this step needs scipy, and its import is slow
-
-    try:
-        fprime = _f_derivative(f, np.maximum(u[2:-2], 0.0))
-    except ExprEvalError:
-        return None
-    n = len(u) - 1
-    m = np.arange(5)
-    ab = np.zeros((6, n + 1))
-    ab[3 - m[:4], m[:4]] = _D1_FORWARD  # row 0
-    ab[4 - m, m] = _D2_FORWARD  # row 1
-    for k, coeff in zip(range(-2, 3), _D4_CENTRAL):  # rows 2..n-2, band j - i = k
-        ab[3 - k, 2 + k : n - 1 + k] = coeff
-    ab[3, 2 : n - 1] += h**4 * fprime
-    ab[5 - m[:4], n - 3 + m[:4]] = -_D1_FORWARD[::-1]  # row n-1
-    ab[3, n] = 1.0  # row n: e_n
-    rhs = np.column_stack((-residual, np.zeros(n + 1)))
-    rhs[n, 1] = 1.0
-    y, z = scipy.linalg.solve_banded((2, 3), ab, rhs, check_finite=False).T
-    vy, vz = (w[0] - np.dot(aw, w) - w[n] for w in (y, z))  # v = J[n] - e_n
-    return y - z * (vy / (1.0 + vz))
-
-
 def collocation_oracle(
     f: ExpressionFn, ctx: KernelContext, config: SolveConfig
 ) -> CollocationResult:
-    """Solve the differential form by damped Newton on a fourth-difference grid.
+    """Solve the differential form by damped Newton at the Chebyshev points.
 
-    Discretization: central fourth differences at interior points,
-    one-sided order-3 stencils for u'(0), u''(0), u'(1), and one dense
-    row u(0) = sum of w_j a(t_j) u_j for the nonlocal condition.  The
-    interior rows are scaled by h^4 so every equation is O(||u||) and the
-    Newton residual can be driven to rounding level.  Steps are halved
-    (up to 30 times) until the residual decreases, an f failure counting
-    as an infinite residual; stagnation at an unacceptable residual is
-    reported, not raised.  Where the floor's absolute part decides, one
-    more full step past it is taken, and counted, where it lowers the
-    residual, and a Newton step at the returned iterate gives
-    ``error_estimate``.  When f fails at the initial guess the status is
-    "diverged", with 0 steps and an infinite residual; when it fails where
-    a step probes f', "diverged", with the steps taken so far.
+    u'''' + f(u) = 0 at points 2..N-2 (N = ``ORACLE_N``), with bordering rows
+    u'(0), u''(0), u'(1) and u(0) - sum of w_j a(t_j) u_j (Clenshaw-Curtis w).
+    Every row is divided by its sup norm (condition number 7.7e5 for a = t^2,
+    f' = 0; 1.2e12 with only the fourth-derivative rows scaled).  Newton, f'
+    by finite differences, stops where its step is at most tol +
+    ``NEWTON_RTOL`` sup |u|, and takes that step too where it lowers the
+    residual; a step is halved (up to 30 times) until the residual drops, an
+    f failure counting as an infinite residual, else it is "stagnated".
+    Where f fails at u0: "diverged", 0 steps, residual inf; where it fails at
+    a probe of f': "diverged", with the steps so far.  The solution is the
+    Chebyshev interpolant of the values at the points, on ``config``'s grid.
     """
-    n = config.n
-    h = 1.0 / n
-    aw = _nonlocal_weights(ctx, n)
+    d1, d2, d4, to_coeffs, weights = _chebyshev()
+    inner = np.arange(2, ORACLE_N - 1)
+    rows = np.vstack((d1[0], d2[0], d4[inner], d1[-1], -weights))
+    rows[-1] *= sample_weight(ctx.weight, CHEBYSHEV_POINTS)[0]
+    rows[-1, 0] += 1.0
+    scale = 1.0 / np.max(np.abs(rows), axis=1)
+    rows *= scale[:, None]
 
     def system(v: np.ndarray) -> tuple[np.ndarray | None, float]:
-        """The scaled rows at v and their largest magnitude; (None, inf) where f fails."""
+        """The equilibrated rows at v and their largest magnitude; (None, inf) where f fails."""
         try:
-            rows = _collocation_system(v, f(np.maximum(v[2:-2], 0.0)), aw, h)
+            load = f(np.maximum(v[inner], 0.0))
         except ExprEvalError:
             return None, math.inf
-        return rows, float(np.max(np.abs(rows)))
+        res = rows @ v
+        res[inner] += scale[inner] * load
+        return res, float(np.max(np.abs(res)))
 
-    def floor_tol() -> float:
-        # a defect delta in D4 units shows up as h^4 * delta in the scaled rows
-        return h**4 * interior_tolerance(n, float(np.max(np.abs(u))))
-
-    u = config.initial_guess().values.copy()
+    u = np.full(ORACLE_N + 1, config.u0)
     residual, res_norm = system(u)
     status = "diverged" if residual is None else "max_iter"
     trace, halvings = [res_norm], []
-    max_steps = min(config.max_iter, 60)
-    while status == "max_iter" and len(halvings) < max_steps and res_norm > floor_tol():
-        step = _newton_step(u, residual, f, aw, h)
-        if step is None:
+    error_estimate = amplification = math.inf
+    while status == "max_iter":
+        try:
+            fprime = _f_derivative(f, np.maximum(u[inner], 0.0))
+        except ExprEvalError:
             status = "diverged"
+            break
+        jacobian = rows.copy()
+        jacobian[inner, inner] += scale[inner] * fprime
+        step = np.linalg.solve(jacobian, -residual)
+        error_estimate = float(np.max(np.abs(step)))
+        stop = error_estimate <= config.tol + NEWTON_RTOL * float(np.max(np.abs(u)))
+        if stop:
+            status = "converged"
+            # (I - A f')^-1 = J^-1 L, with J and L equilibrated alike
+            amplification = float(np.max(np.sum(np.abs(np.linalg.solve(jacobian, rows)), axis=1)))
+        elif len(halvings) == min(config.max_iter, 60):
             break
         for halving in range(30):
             candidate = u + 0.5**halving * step
@@ -472,29 +480,15 @@ def collocation_oracle(
                 u, residual, res_norm = candidate, cand_res, cand_norm
                 break
         else:  # no step length decreases the residual: at its rounding floor, or stuck
-            halving = 30
-            status = "converged" if res_norm <= 10.0 * floor_tol() else "stagnated"
+            if stop:
+                break
+            halving, status = 30, "stagnated"
         halvings.append(halving)
         trace.append(res_norm)
-    floor = floor_tol()
-    if res_norm <= floor:
-        status = "converged"
-    # the floor's absolute part stops a load below INTERIOR_FLOOR at the initial
-    # guess, and near mu1 (I - A f' nearly singular) far from the solution: where
-    # it decides, one more full step is kept where it lowers the residual, and the
-    # step at the returned iterate is Newton's estimate of its error
-    error_estimate = 0.0
-    if 0.0 < res_norm <= floor and floor == h**4 * INTERIOR_FLOOR:
-        step = _newton_step(u, residual, f, aw, h)
-        cand_res, cand_norm = (None, math.inf) if step is None else system(u + step)
-        if cand_norm < res_norm:
-            u, residual, res_norm = u + step, cand_res, cand_norm
-            halvings.append(0)
-            trace.append(res_norm)
-            step = _newton_step(u, residual, f, aw, h)
-        error_estimate = 0.0 if step is None else float(np.max(np.abs(step)))
+    ts = np.linspace(0.0, 1.0, config.n + 1)
+    solution = np.polynomial.chebyshev.chebval(1.0 - 2.0 * ts, to_coeffs @ u)
     return CollocationResult(
-        solution=GridFunction(n, u), status=status, iterations=len(halvings),
-        residual=res_norm, residual_trace=trace, halvings=halvings,
-        error_estimate=error_estimate,
+        solution=GridFunction(config.n, solution), status=status, iterations=len(halvings),
+        residual=res_norm, residual_trace=trace, halvings=halvings, nodes=u,
+        error_estimate=error_estimate, amplification=amplification,
     )

@@ -1,4 +1,4 @@
-"""scipy stays off the import path of everything but the collocation solve.
+"""No command loads scipy: the program needs numpy alone.
 
 The check runs in a fresh interpreter, because the test process has
 already imported scipy through other tests."""
@@ -23,7 +23,8 @@ def scipy_modules():
 steps = []
 import beambvp.cli as cli
 steps.append(("import beambvp.cli", None, scipy_modules()))
-for argv in (["analyze", sys.argv[2]], ["verify-lemmas"]):
+commands = (["analyze", sys.argv[2]], ["verify-lemmas"], ["solve", sys.argv[2], "--out", sys.argv[3]])
+for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     steps.append((argv[0], code, scipy_modules()))
@@ -31,13 +32,13 @@ print(json.dumps(steps))
 """
 
 
-def test_cli_without_solve_loads_no_scipy():
+def test_cli_loads_no_scipy(tmp_path):
     run = subprocess.run(
-        [sys.executable, "-c", GUARD, str(SRC), str(EXAMPLE_A)],
+        [sys.executable, "-c", GUARD, str(SRC), str(EXAMPLE_A), str(tmp_path / "a.csv")],
         capture_output=True, text=True, timeout=120, check=True,
     )
     steps = json.loads(run.stdout)
     assert [(name, code) for name, code, _ in steps] == [
-        ("import beambvp.cli", None), ("analyze", 0), ("verify-lemmas", 0)
+        ("import beambvp.cli", None), ("analyze", 0), ("verify-lemmas", 0), ("solve", 0)
     ]
     assert {name: loaded for name, _, loaded in steps if loaded} == {}
