@@ -79,12 +79,14 @@ def _check_unit(x: _ArrayLike, name: str):
         raise ValueError(f"{name} = {x} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelContext:
     """Boundary weight a(t) with its derived constants.
 
     Assembled by :func:`make_context`, which enforces (H2): a >= 0 on the
-    sampled interval and 0 < alpha < 1.  Instances are immutable.
+    sampled interval and 0 < alpha < 1.  Instances are immutable and
+    compare and hash by identity: two contexts with equal constants can
+    still carry different correction rules, hence different operators.
 
     alpha is the total mass of a over [0, 1]; beta the mass over
     [theta, 1 - theta].  The cone constant theta^3 (1 - alpha + beta)
@@ -98,8 +100,8 @@ class KernelContext:
     theta: float
     alpha: float
     beta: float
-    taus: np.ndarray = field(repr=False, compare=False)
-    tau_weights: np.ndarray = field(repr=False, compare=False)
+    taus: np.ndarray = field(repr=False)
+    tau_weights: np.ndarray = field(repr=False)
 
     @property
     def cone_constant(self) -> float:

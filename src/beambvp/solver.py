@@ -193,10 +193,37 @@ def interior_tolerance(n: int, u_norm: float) -> float:
     return max(INTERIOR_FLOOR, 100.0 * np.finfo(float).eps * float(n) ** 4 * u_norm)
 
 
-def _nonlocal_weights(ctx: KernelContext, n: int) -> np.ndarray:
-    """Weights aw of the discrete nonlocal condition u(0) = sum of aw_j u_j
-    (grid Simpson weights times a at the nodes, held to (H2) there)."""
-    return quadrature.grid_weights(n) * sample_weight(ctx.weight, np.linspace(0.0, 1.0, n + 1))[0]
+class _Discretization:
+    """The u-independent parts of one (context, n) grid, each built on its
+    first use: a call raises, or evaluates a, only for a part it reads."""
+
+    def __init__(self, ctx: KernelContext, n: int):
+        self.ctx, self.n = ctx, n
+
+    @functools.cached_property
+    def op(self) -> Callable[[np.ndarray], np.ndarray]:
+        return operator_matrix(self.ctx, self.n)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:  # grid Simpson weights
+        return quadrature.grid_weights(self.n)
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:  # the envelope g at the nodes
+        return g_weight(np.linspace(0.0, 1.0, self.n + 1))
+
+    @functools.cached_property
+    def aw(self) -> np.ndarray:
+        """Weights aw of the discrete nonlocal condition u(0) = sum of aw_j u_j
+        (grid Simpson weights times a at the nodes, held to (H2) there)."""
+        return self.weights * sample_weight(self.ctx.weight, np.linspace(0.0, 1.0, self.n + 1))[0]
+
+
+@functools.lru_cache(maxsize=1)  # contexts hash by identity: an entry serves only its own
+def _discretization(ctx: KernelContext, n: int) -> _Discretization:
+    """The discretization of the last (context, n) asked for, shared by every
+    call on that pair; one is held at a time."""
+    return _Discretization(ctx, n)
 
 
 def _ode_defects(
@@ -208,7 +235,7 @@ def _ode_defects(
     if fvals is None:
         return None
     h = u.h
-    rows = np.abs(_collocation_system(u.values, fvals[2:-2], _nonlocal_weights(ctx, u.n), h))
+    rows = np.abs(_collocation_system(u.values, fvals[2:-2], _discretization(ctx, u.n).aw, h))
     rows[[0, -2]] /= h
     rows[1] /= h**2
     rows[2:-2] /= h**4
@@ -232,7 +259,8 @@ def _bound_check(u: GridFunction, fvals: np.ndarray | None, au: np.ndarray | Non
     """``norm_bound_check`` of u from ``apply_A``'s (f(u), A u) at u."""
     if fvals is None:
         return BoundCheck(bound=math.inf, au_norm=math.inf, holds=False)
-    bound = float(np.dot(quadrature.grid_weights(u.n), g_weight(u.ts) * fvals)) / (1.0 - ctx.alpha)
+    grid = _discretization(ctx, u.n)
+    bound = float(np.dot(grid.weights, grid.g * fvals)) / (1.0 - ctx.alpha)
     au_norm = math.inf if au is None else float(np.max(np.abs(au)))
     return BoundCheck(bound=bound, au_norm=au_norm, holds=au_norm <= bound + BOUND_SLACK)
 
@@ -241,7 +269,7 @@ def norm_bound_check(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> Bo
     """Check ||A u|| <= (1/(1-alpha)) * integral of g f(u) (grid quadrature),
     with 1e-10 slack; an overflow of A u fails it with au_norm inf, a failure
     of f with every field inf."""
-    return _bound_check(u, *apply_A(u, f, operator_matrix(ctx, u.n)), ctx)
+    return _bound_check(u, *apply_A(u, f, _discretization(ctx, u.n).op), ctx)
 
 
 def _contraction(r: float, last_delta: float) -> float:
@@ -318,7 +346,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
     None) where f or A overflows.  An a that fails or is negative at a grid
     node raises :class:`HypothesisViolation`.
     """
-    op = operator_matrix(ctx, config.n)
+    op = _discretization(ctx, config.n).op
     x = u = config.initial_guess()
     fvals, au = apply_A(x, f, op)
     bound_at_start = _bound_check(x, fvals, au, ctx)

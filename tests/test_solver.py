@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from beambvp.grid import GridFunction
 from beambvp.hypotheses import check_h1_h2
 from beambvp.kernel import make_context
 from beambvp.linear import cone_ratio, operator_matrix
+from beambvp.quadrature import QuadratureSettings
 from beambvp import solver
 from beambvp.solver import (
     BoundCheck,
@@ -134,11 +137,51 @@ def test_weight_evaluated_once_per_operator(ctx_t2):
     op = operator_matrix(ctx, 400)  # the context carries the correction rule
     op(np.ones(401))
     assert len(calls) == 0
-    for f, u0, iterations in ((F_ONE, 0.0, 2), (F_AFFINE, 1.0, 5)):
+    # the grid nodes, for the ODE rows: sampled by the first solve on (ctx, 400), then reused
+    for f, u0, iterations, samplings in ((F_ONE, 0.0, 2, 1), (F_AFFINE, 1.0, 5, 0)):
         calls.clear()
         report = picard_solve(f, ctx, SolveConfig(n=400, u0=u0))
         assert report.iterations == iterations
-        assert len(calls) == 1  # the grid nodes, for the ODE rows
+        assert len(calls) == samplings
+
+
+def test_contexts_with_equal_constants_keep_their_own_operators():
+    # a = 0.5 gives alpha = 0.5 and beta = 0.25 exactly under any rule, but
+    # the rule's abscissae move the correction, hence the operator
+    a = parse("0.5", "t")
+    contexts = [make_context(a, quad=QuadratureSettings(panels)) for panels in (7, 200)]
+    assert [(c.alpha, c.beta) for c in contexts] == [(0.5, 0.25)] * 2
+    assert contexts[0] != contexts[1]
+    y = np.ones(401)
+    fresh = [operator_matrix(ctx, 400)(y) for ctx in contexts]
+    assert np.max(np.abs(fresh[0] - fresh[1])) > 1e-8
+    for ctx, expected in zip(contexts, fresh):
+        assert np.array_equal(solver._discretization(ctx, 400).op(y), expected)
+
+
+def test_one_discretization_per_context_and_grid(ctx_t2, monkeypatch):
+    n, builds, samplings = 3200, [], []
+
+    def counting_build(ctx, n, points=None):
+        builds.append(n)
+        return operator_matrix(ctx, n, points)
+
+    def counting_weight(ts):
+        samplings.append(len(ts))
+        return ctx_t2.weight(ts)
+
+    monkeypatch.setattr(solver, "operator_matrix", counting_build)
+    ctx, config = make_context(counting_weight), SolveConfig(n=n, u0=1.0)
+    for _ in range(2):
+        report = picard_solve(F_AFFINE, ctx, config)
+    assert norm_bound_check(report.solution, F_AFFINE, ctx).holds
+    assert builds == [n] and samplings.count(n + 1) == 1
+    # a solve on another context replaces the only entry, releasing the first
+    first = weakref.ref(ctx)
+    del ctx
+    picard_solve(F_AFFINE, make_context(parse("t", "t")), config)
+    gc.collect()
+    assert first() is None and builds == [n, n]
 
 
 @pytest.mark.parametrize(
