@@ -98,16 +98,6 @@ def _ratio_schedule(us: np.ndarray, fus: np.ndarray) -> LimitEstimate:
     return LimitEstimate(ratios[-1], converged, False, samples)
 
 
-def estimate_f0(f: ArrayFn) -> LimitEstimate:
-    """f(u)/u along ``F0_SCHEDULE``, u = 10^-k, k = 1..12."""
-    return _ratio_schedule(_probe()[_F0], _scan(f, _probe()[_F0]))
-
-
-def estimate_finf(f: ArrayFn) -> LimitEstimate:
-    """f(u)/u along ``FINF_SCHEDULE``, u = 10^k, k = 1..8."""
-    return _ratio_schedule(_probe()[_FINF], _scan(f, _probe()[_FINF]))
-
-
 @dataclass(frozen=True)
 class F0Certificate:
     """f(u) <= epsilon * u holds on (0, rho1], with epsilon <= 1 - alpha."""
@@ -177,23 +167,18 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
     return F0Certificate(epsilon=epsilon, rho1=float(lo))
 
 
-def certify_finf_zero(f: ArrayFn, ctx: KernelContext,
-                      finf_estimate: LimitEstimate) -> Optional[FInfCertificate]:
-    """Certificate for the large-amplitude criterion, or None.
+def certify_finf_zero(ctx: KernelContext, finf_estimate: LimitEstimate,
+                      fvals: np.ndarray) -> Optional[FInfCertificate]:
+    """Certificate for the large-amplitude criterion, or None, from fvals:
+    f on the probe's ``_SCAN`` slice, NaN where f failed.
 
-    Boundedness probe: scan f on a log grid over (0, 1e6] (plus u = 0);
+    Boundedness probe: f on a log grid over (0, 1e6] (plus u = 0);
     if the supremum shows no growth in the last decade it is taken as
     stable and Case 1 returns L = observed sup * (1 + 1e-6).  Otherwise
     Case 2 constants are built from the same scan with eta = 1 - alpha.
     Returns None when the finf estimate is not approximately zero, or f
     fails to evaluate anywhere on the scan or at 0.
     """
-    return _finf_certificate(ctx, finf_estimate, _scan(f, _probe()[_SCAN]))
-
-
-def _finf_certificate(ctx: KernelContext, finf_estimate: LimitEstimate,
-                      fvals: np.ndarray) -> Optional[FInfCertificate]:
-    """:func:`certify_finf_zero` from f on the probe's ``_SCAN`` slice."""
     if not finf_estimate.is_zero() or np.isnan(fvals).any():
         return None  # f fails at 0 or overflows on the probe: no finite L or sigma
     us = _probe()[1:_SCAN.stop]
@@ -268,9 +253,11 @@ def report_from_probe(f: ArrayFn, ctx: KernelContext, f_probe: np.ndarray) -> Hy
     f0 = _ratio_schedule(us[_F0], f_probe[_F0])
     finf = _ratio_schedule(us[_FINF], f_probe[_FINF])
     return HypothesisReport(f0, finf, certify_f0_zero(f, ctx, f0),
-                            _finf_certificate(ctx, finf, f_probe[_SCAN]))
+                            certify_finf_zero(ctx, finf, f_probe[_SCAN]))
 
 
 def build_report(f: ArrayFn, ctx: KernelContext) -> HypothesisReport:
-    """:func:`report_from_probe` after one evaluation of f on the probe."""
+    """:func:`report_from_probe` after one evaluation of f on the probe.  No
+    command calls it (they read the gate's probe); the benchmark's traced
+    analyze times it as one span, and the tests read the report from it."""
     return report_from_probe(f, ctx, _scan(f, _probe()))

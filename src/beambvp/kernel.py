@@ -25,7 +25,6 @@ Key inequalities used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -37,12 +36,10 @@ from .quadrature import QuadratureSettings
 DEFAULT_THETA = 0.25
 H2_POINTS = np.linspace(0.0, 1.0, 1001)  # uniform points where (H2) samples a
 
-_ArrayLike = Union[float, np.ndarray]
-
 
 def green_s_le_t(t, s):
-    """G for s <= t; this, green_s_ge_t and g_envelope are the formulas, with no
-    domain checks, that arrays and the exact proofs of beambvp.bernstein run."""
+    """G(t, s) for s <= t.  This, green_s_ge_t and g_envelope are the kernel's
+    formulas: float arrays and the exact proofs of beambvp.bernstein run them alike."""
     return (t**3 * (1.0 - s) ** 2 - (t - s) ** 3) / 6.0
 
 
@@ -51,32 +48,17 @@ def green_s_ge_t(t, s):
 
 
 def g_envelope(s):
+    """The envelope g(s) = G(1, s) = s (1-s)^2 / 6 = max over t of G(t, s)."""
     return s * (1.0 - s) ** 2 / 6.0
 
 
-def green(t: float, s: float) -> float:
-    """Green's function G(t, s) on [0, 1]^2; the branches agree at t = s."""
-    _check_unit(t, "t")
-    _check_unit(s, "s")
-    return float(green_s_le_t(t, s) if s <= t else green_s_ge_t(t, s))
-
-
 def green_matrix(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """G evaluated on the grid product ts x ss, shape (len(ts), len(ss))."""
+    """G evaluated on the grid product ts x ss, shape (len(ts), len(ss)).  No
+    command calls it or :func:`correction_values`: the tests hold the
+    operator of ``beambvp.linear`` to both as references."""
     t = np.asarray(ts, dtype=float)[:, None]
     s = np.asarray(ss, dtype=float)[None, :]
     return np.where(s <= t, green_s_le_t(t, s), green_s_ge_t(t, s))
-
-
-def g_weight(s: _ArrayLike) -> _ArrayLike:
-    """Upper envelope g(s) = s (1-s)^2 / 6 = G(1, s); vanishes at 0 and 1."""
-    _check_unit(s, "s")
-    return g_envelope(s)
-
-
-def _check_unit(x: _ArrayLike, name: str):
-    if not np.all((0.0 <= x) & (x <= 1.0)):
-        raise ValueError(f"{name} = {x} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
-"""Linear solves through the kernel representation, plus exact oracles.
+"""The kernel operator of the linear problem, its cone check, and an exact oracle.
 
-``operator_matrix`` discretizes u(t) = integral of H(t, s) y(s) ds as a
+``operator_matrix`` discretizes u(t) = integral of H(t, s) y(s) ds, the
+solution of u'''' + y = 0 under the problem's boundary conditions, as a
 matrix-free operator on grid values of y.  y is replaced by its
 piecewise-quadratic interpolant on node-pair panels, and every integral
 of it against G is exact.  G is cubic in t - s on either side of the
@@ -140,15 +141,6 @@ def operator_matrix(ctx: KernelContext, n: int,
     return apply
 
 
-def solve_linear(y: GridFunction, ctx: KernelContext) -> GridFunction:
-    """Solution of u'''' + y = 0 under the problem's boundary conditions.
-
-    Nonnegative y gives nonnegative u lying in the cone (see
-    :func:`cone_ratio`); the map is linear in y.
-    """
-    return GridFunction(y.n, operator_matrix(ctx, y.n)(y.values))
-
-
 def polynomial_oracle(
     y_coeffs: Sequence[float], a_coeffs: Sequence[float]
 ) -> np.ndarray:
@@ -158,7 +150,8 @@ def polynomial_oracle(
     coefficients from u'(0) = u''(0) = u'(1) = 0, then solves
     c0 (1 - alpha) = integral of a * (particular part) for the constant
     term, all in rational arithmetic.  Returns ascending coefficients as
-    floats.  Independent of the kernel machinery by construction.
+    floats.  Independent of the kernel machinery by construction: no
+    command calls it; the tests hold ``operator_matrix`` to it.
     """
     y = [Fraction(c) for c in y_coeffs]
     a = [Fraction(c) for c in a_coeffs]

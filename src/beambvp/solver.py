@@ -38,7 +38,7 @@ from . import quadrature
 from .errors import require_nonneg
 from .exprlang import ExpressionFn, ExprEvalError
 from .grid import GridFunction, NONNEG_SLACK
-from .kernel import KernelContext, g_weight, sample_weight
+from .kernel import KernelContext, g_envelope, sample_weight
 from .linear import ConeCheck, cone_ratio, operator_matrix
 
 TRIVIALITY_THRESHOLD = 1e-8
@@ -134,7 +134,6 @@ class SolveReport:
     trivial: bool
     norm_bound: float
     status: str  # converged | max_iter | diverged
-    fvals: np.ndarray | None = field(repr=False)  # f of the returned iterate; None: f failed
     au: np.ndarray | None = field(repr=False)  # A u of the returned iterate; None: overflowed
     ode_defects: np.ndarray | None = field(repr=False)  # its _ode_defects rows; None: f failed
     bound_at_start: BoundCheck  # the norm bound check of the initial guess
@@ -210,7 +209,7 @@ class _Discretization:
 
     @functools.cached_property
     def g(self) -> np.ndarray:  # the envelope g at the nodes
-        return g_weight(np.linspace(0.0, 1.0, self.n + 1))
+        return g_envelope(np.linspace(0.0, 1.0, self.n + 1))
 
     @functools.cached_property
     def aw(self) -> np.ndarray:
@@ -226,16 +225,20 @@ def _discretization(ctx: KernelContext, n: int) -> _Discretization:
     return _Discretization(ctx, n)
 
 
-def _ode_defects(
-    u: GridFunction, fvals: np.ndarray | None, ctx: KernelContext
-) -> np.ndarray | None:
-    """Absolute rows of ``_collocation_system`` at u, given fvals = f(u), in
-    differential units: |u'(0)|, |u''(0)|, |D4 u + f(u)| at nodes 2..n-2,
-    |u'(1)| and |u(0) - sum of aw u|; None where f failed (fvals None)."""
+def _ode_defects(u: GridFunction, fvals: np.ndarray | None, ctx: KernelContext) -> np.ndarray | None:
+    """The finite-difference equations at u, given fvals = f(u), each formed h-scaled
+    and then divided by its power of h: |u'(0)|, |u''(0)|, |D4 u + f(u)| at nodes
+    2..n-2, |u'(1)| and |u(0) - sum of aw u|; None where f failed (fvals None)."""
     if fvals is None:
         return None
-    h = u.h
-    rows = np.abs(_collocation_system(u.values, fvals[2:-2], _discretization(ctx, u.n).aw, h))
+    v, h = u.values, u.h
+    rows = np.empty(u.n + 1)
+    rows[0] = np.dot(_D1_FORWARD, v[:4])  # h * u'(0)
+    rows[1] = np.dot(_D2_FORWARD, v[:5])  # h^2 * u''(0)
+    rows[2:-2] = v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2] - 4.0 * v[3:-1] + v[4:] + h**4 * fvals[2:-2]
+    rows[-2] = np.dot(_D1_FORWARD, v[-1:-5:-1])  # -h * u'(1)
+    rows[-1] = v[0] - np.dot(_discretization(ctx, u.n).aw, v)
+    np.abs(rows, out=rows)
     rows[[0, -2]] /= h
     rows[1] /= h**2
     rows[2:-2] /= h**4
@@ -385,7 +388,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
         trivial=status != "diverged" and u.sup_norm() < TRIVIALITY_THRESHOLD + stop_error,
         norm_bound=_bound_check(u, fvals, au, ctx).bound,
         status=status,
-        fvals=fvals, au=au,
+        au=au,
         ode_defects=defects,
         bound_at_start=bound_at_start,
     )
@@ -426,22 +429,6 @@ def _f_derivative(f: ExpressionFn, x: np.ndarray, delta: float = 1e-6) -> np.nda
     central = x >= step
     lower = np.where(central, x - step, x)
     return (f(x + step) - f(lower)) / np.where(central, 2.0 * step, step)
-
-
-def _collocation_system(u: np.ndarray, fvals: np.ndarray, aw: np.ndarray, h: float) -> np.ndarray:
-    """Scaled residual of the collocation equations (all rows O(||u||)),
-    given f at the interior nodes 2..n-2; the one definition of the
-    discrete problem."""
-    n = len(u) - 1
-    r = np.empty(n + 1)
-    r[0] = np.dot(_D1_FORWARD, u[:4])  # h * u'(0)
-    r[1] = np.dot(_D2_FORWARD, u[:5])  # h^2 * u''(0)
-    r[2 : n - 1] = (
-        u[:-4] - 4.0 * u[1:-3] + 6.0 * u[2:-2] - 4.0 * u[3:-1] + u[4:] + h**4 * fvals
-    )
-    r[n - 1] = -np.dot(_D1_FORWARD, u[-1:-5:-1])  # h * u'(1)
-    r[n] = u[0] - np.dot(aw, u)
-    return r
 
 
 def collocation_oracle(

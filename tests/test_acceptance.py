@@ -11,9 +11,9 @@ import numpy as np
 from beambvp import cli
 from beambvp.exprlang import parse
 from beambvp.grid import GridFunction
-from beambvp.hypotheses import certify_f0_zero, certify_finf_zero, estimate_f0, estimate_finf
-from beambvp.kernel import g_weight, green_matrix, make_context
-from beambvp.linear import cone_ratio, polynomial_oracle, solve_linear
+from beambvp.hypotheses import build_report
+from beambvp.kernel import g_envelope, green_matrix, make_context
+from beambvp.linear import cone_ratio, operator_matrix, polynomial_oracle
 from beambvp.quadrature import DEFAULT_SETTINGS, integrate
 from beambvp.solver import (
     collocation_oracle,
@@ -45,7 +45,7 @@ def test_c01_kernel_nonnegativity():
 
 
 def test_c02_kernel_two_sided_bound():
-    envelope = np.array([g_weight(s) for s in GRID_201])
+    envelope = g_envelope(GRID_201)
     worst_low = worst_high = math.inf
     for theta in THETAS:
         inner = GRID_201[(GRID_201 >= theta - 1e-12) & (GRID_201 <= 1.0 - theta + 1e-12)]
@@ -59,20 +59,20 @@ def test_c02_kernel_two_sided_bound():
 
 def test_c03_boundary_identity():
     gap = float(np.max(np.abs(green_matrix(np.array([1.0]), GRID_201)[0]
-                              - np.array([g_weight(s) for s in GRID_201]))))
+                              - g_envelope(GRID_201))))
     assert gap < 1e-14
     _pass(3, f"max |G(1,s) - g(s)| = {gap:.3g} < 1e-14")
 
 
 def test_c04_linear_oracle(ctx_t2):
-    u = solve_linear(GridFunction.constant(1.0, 2000), ctx_t2)
+    u = GridFunction(2000, operator_matrix(ctx_t2, 2000)(np.ones(2001)))
     coeffs = polynomial_oracle([1.0], [0.0, 0.0, 1.0])
     exact = np.polynomial.polynomial.polyval(u.ts, coeffs)
     sup = float(np.max(np.abs(u.values - exact)))
     assert sup < 1e-8
     assert abs(u.values[0] - 5.0 / 1008.0) < 1e-8
     assert abs(u.values[-1] - 19.0 / 1008.0) < 1e-8
-    _pass(4, f"solve_linear(y=1, a=t^2, n=2000) sup error {sup:.3g} < 1e-8")
+    _pass(4, f"u = A y for y = 1, a = t^2, n = 2000: sup error {sup:.3g} < 1e-8")
 
 
 def test_c05_cone_inequality():
@@ -81,10 +81,11 @@ def test_c05_cone_inequality():
     cases = 0
     for theta in THETAS:
         ctx = make_context(parse("t^2", "t"), theta=theta)
+        op = operator_matrix(ctx, 400)
         for coeffs in loads:
-            y = GridFunction(400, np.polynomial.polynomial.polyval(
-                np.linspace(0.0, 1.0, 401), coeffs))
-            assert cone_ratio(solve_linear(y, ctx), ctx).satisfied
+            u = GridFunction(400, op(np.polynomial.polynomial.polyval(
+                np.linspace(0.0, 1.0, 401), coeffs)))
+            assert cone_ratio(u, ctx).satisfied
             cases += 1
     assert cases == 60
     _pass(5, "cone inequality satisfied in all 60 random-load cases")
@@ -120,11 +121,11 @@ def test_c07_cross_oracle_solve(ctx_t2):
 def test_c08_example_a_analysis():
     problem = cli.bundled_problem("example_a")
     ctx = make_context(problem.a, theta=problem.theta, quad=problem.quad)
-    f0 = estimate_f0(problem.f)
-    finf = estimate_finf(problem.f)
+    report = build_report(problem.f, ctx)
+    f0, finf = report.f0_estimate, report.finf_estimate
     assert abs(f0.value) < 1e-4
     assert abs(finf.value - 1.0) <= 1e-3
-    cert = certify_f0_zero(problem.f, ctx, estimate_f0(problem.f))
+    cert = report.f0_certificate
     assert cert is not None
     assert cert.epsilon == 1.0 - ctx.alpha  # epsilon is exactly the maximal slope
     assert abs(cert.epsilon - 2.0 / 3.0) <= 1e-12
@@ -136,11 +137,11 @@ def test_c08_example_a_analysis():
 def test_c09_example_b_analysis():
     problem = cli.bundled_problem("example_b")
     ctx = make_context(problem.a, theta=problem.theta, quad=problem.quad)
-    f0 = estimate_f0(problem.f)
-    finf = estimate_finf(problem.f)
+    report = build_report(problem.f, ctx)
+    f0, finf = report.f0_estimate, report.finf_estimate
     assert abs(finf.value) < 1e-4
     assert abs(f0.value - 1.0) <= 1e-3
-    cert = certify_finf_zero(problem.f, ctx, estimate_finf(problem.f))
+    cert = report.finf_certificate
     assert cert is not None and cert.bounded_case
     assert abs(cert.L - 1.0) <= 1e-6
     _pass(9, f"example B: finf {finf.value:.2g}, f0 {f0.value:.6f}, Case 1 L = {cert.L!r}")
@@ -182,7 +183,7 @@ def test_c11_grid_self_consistency(tmp_path):
 
 def test_c12_quadrature_values():
     sq = integrate(lambda s: s * s, 0.0, 1.0, DEFAULT_SETTINGS)
-    env = integrate(lambda s: g_weight(s), 0.0, 1.0, DEFAULT_SETTINGS)
+    env = integrate(g_envelope, 0.0, 1.0, DEFAULT_SETTINGS)
     beta = integrate(lambda s: s * s, 0.25, 0.75, DEFAULT_SETTINGS)
     assert abs(sq - 1.0 / 3.0) <= 1e-12
     assert abs(env - 1.0 / 72.0) <= 1e-12

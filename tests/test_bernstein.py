@@ -52,6 +52,6 @@ def test_negative_only_inside_is_undetermined():
 def test_certified_lower_bound_below_sampled_minimum(c, theta):
     verdict, lower, _ = prove(*lower_gap(c, theta))
     ts, ss = np.linspace(theta, 1.0 - theta, 101), np.linspace(0.0, 1.0, 101)
-    sampled = kernel.green_matrix(ts, ss) - c * theta**3 * kernel.g_weight(ss)[None, :]
+    sampled = kernel.green_matrix(ts, ss) - c * theta**3 * kernel.g_envelope(ss)[None, :]
     assert lower <= float(np.min(sampled))
     assert (verdict == "proven") == (lower >= 0)

@@ -209,15 +209,15 @@ def test_solve_steep_saturating_agrees_on_coarse_grids(tmp_path, capsys, n):
 
 def test_solve_exits_4_when_picard_is_two_percent_off(tmp_path, capsys, monkeypatch):
     # the gate measures Picard's discretization error at the oracle's solution,
-    # so one 2% off (1.1e-3, 4e8 times that error at n = 800) fails it; u, f(u)
-    # and A u move together, so the Nystrom values A f(u) are 2% off too
+    # so one 2% off (1.1e-3, 4e8 times that error at n = 800) fails it; u and
+    # A u move together, so the Nystrom values A f(u) are 2% off too
     picard_solve = solver.picard_solve
 
     def two_percent_off(f, ctx, config):
         report = picard_solve(f, ctx, config)
         return dataclasses.replace(
             report, solution=GridFunction(config.n, 1.02 * report.solution.values),
-            fvals=1.02 * report.fvals, au=1.02 * report.au,
+            au=1.02 * report.au,
         )
 
     monkeypatch.setattr(solver, "picard_solve", two_percent_off)

@@ -6,14 +6,7 @@ import pytest
 from beambvp import hypotheses
 from beambvp.errors import HypothesisViolation
 from beambvp.exprlang import parse
-from beambvp.hypotheses import (
-    build_report,
-    certify_f0_zero,
-    certify_finf_zero,
-    check_h1_h2,
-    estimate_f0,
-    estimate_finf,
-)
+from beambvp.hypotheses import build_report, check_h1_h2
 
 F_SATURATING = parse("u*(1-exp(-u))", "u")  # f0 = 0, finf = 1
 F_BOUNDED = parse("1-exp(-u)", "u")  # f0 = 1, finf = 0
@@ -25,60 +18,60 @@ A_QUADRATIC = parse("t^2", "t")
 # --- limit estimates --------------------------------------------------------
 
 
-def test_f0_of_saturating_vanishes():
-    est = estimate_f0(F_SATURATING)
+def test_f0_of_saturating_vanishes(ctx_t2):
+    est = build_report(F_SATURATING, ctx_t2).f0_estimate
     assert est.converged and abs(est.value) < 1e-4
 
 
-def test_f0_of_bounded_is_one():
-    est = estimate_f0(F_BOUNDED)
+def test_f0_of_bounded_is_one(ctx_t2):
+    est = build_report(F_BOUNDED, ctx_t2).f0_estimate
     assert est.converged
     assert est.value == pytest.approx(1.0, abs=1e-3)
 
 
-def test_f0_of_identity():
-    assert estimate_f0(F_IDENTITY).value == 1.0
+def test_f0_of_identity(ctx_t2):
+    assert build_report(F_IDENTITY, ctx_t2).f0_estimate.value == 1.0
 
 
-def test_finf_of_bounded_vanishes():
-    est = estimate_finf(F_BOUNDED)
+def test_finf_of_bounded_vanishes(ctx_t2):
+    est = build_report(F_BOUNDED, ctx_t2).finf_estimate
     assert est.converged and abs(est.value) < 1e-4
 
 
-def test_finf_of_saturating_is_one():
-    est = estimate_finf(F_SATURATING)
+def test_finf_of_saturating_is_one(ctx_t2):
+    est = build_report(F_SATURATING, ctx_t2).finf_estimate
     assert est.converged
     assert est.value == pytest.approx(1.0, abs=1e-3)
 
 
-def test_finf_of_square_diverges():
-    est = estimate_finf(F_SQUARE)
+def test_finf_of_square_diverges(ctx_t2):
+    est = build_report(F_SQUARE, ctx_t2).finf_estimate
     assert est.divergent and est.value is None
 
 
-def test_f0_divergence_of_affine():
-    assert estimate_f0(parse("1+u", "u")).divergent
+def test_f0_divergence_of_affine(ctx_t2):
+    assert build_report(parse("1+u", "u"), ctx_t2).f0_estimate.divergent
 
 
-def test_estimates_record_schedule():
-    est = estimate_f0(F_SATURATING)
+def test_estimates_record_schedule(ctx_t2):
+    est = build_report(F_SATURATING, ctx_t2).f0_estimate
     assert len(est.samples) == 12
     assert est.samples[0][0] == 0.1 and est.samples[-1][0] == 1e-12
 
 
-def test_estimate_rejects_negative_f():
+def test_estimate_rejects_negative_f(ctx_t2):
     with pytest.raises(HypothesisViolation):
-        estimate_f0(parse("u-1", "u"))
+        build_report(parse("u-1", "u"), ctx_t2)
 
 
-def test_estimate_scales_linearly():
-    base = estimate_f0(F_BOUNDED).value
-    scaled = estimate_f0(lambda u: 3.7 * F_BOUNDED(u)).value
+def test_estimate_scales_linearly(ctx_t2):
+    base = build_report(F_BOUNDED, ctx_t2).f0_estimate.value
+    scaled = build_report(lambda u: 3.7 * F_BOUNDED(u), ctx_t2).f0_estimate.value
     assert abs(scaled - 3.7 * base) <= 1e-10 * abs(scaled)
 
 
-def test_overflowing_f_reported_divergent():
-    est = estimate_finf(parse("exp(u)", "u"))
+def test_overflowing_f_reported_divergent(ctx_t2):
+    est = build_report(parse("exp(u)", "u"), ctx_t2).finf_estimate
     assert est.divergent
 
 
@@ -86,7 +79,7 @@ def test_overflowing_f_reported_divergent():
 
 
 def test_certificate_for_saturating_f(ctx_t2):
-    cert = certify_f0_zero(F_SATURATING, ctx_t2, estimate_f0(F_SATURATING))
+    cert = build_report(F_SATURATING, ctx_t2).f0_certificate
     assert cert is not None
     assert cert.epsilon == 1.0 - ctx_t2.alpha
     assert cert.epsilon == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -95,26 +88,26 @@ def test_certificate_for_saturating_f(ctx_t2):
 
 
 def test_certificate_for_square(ctx_t2):
-    cert = certify_f0_zero(F_SQUARE, ctx_t2, estimate_f0(F_SQUARE))
+    cert = build_report(F_SQUARE, ctx_t2).f0_certificate
     assert cert is not None
     assert cert.rho1 == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 def test_no_certificate_when_f0_positive(ctx_t2):
-    assert certify_f0_zero(F_IDENTITY, ctx_t2, estimate_f0(F_IDENTITY)) is None
-    assert certify_f0_zero(F_BOUNDED, ctx_t2, estimate_f0(F_BOUNDED)) is None
+    assert build_report(F_IDENTITY, ctx_t2).f0_certificate is None
+    assert build_report(F_BOUNDED, ctx_t2).f0_certificate is None
 
 
 def test_certificate_capped_radius(ctx_t2):
     f = parse("0", "u")
-    assert certify_f0_zero(f, ctx_t2, estimate_f0(f)).rho1 == 1e3
+    assert build_report(f, ctx_t2).f0_certificate.rho1 == 1e3
 
 
 def test_certificate_stops_at_a_bump_between_scan_points(ctx_t2):
     # the bump lifts f above (2/3) u on about (0.66617, 0.66620), between
     # two points of the log scan; f <= (2/3) u again from there to u = 2/3
     f = parse("u^2 + 0.001*exp(-((u-0.6661862)/1.8e-05)^2)", "u")
-    cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
+    cert = build_report(f, ctx_t2).f0_certificate
     us = np.linspace(0.6657, 0.6667, 200001)
     first_above = us[np.argmax(f(us) - cert.epsilon * us > 0.0)]
     assert f(float(first_above)) > cert.epsilon * first_above
@@ -125,7 +118,7 @@ def test_certificate_is_relatively_accurate_below_one(ctx_t2):
     # f = epsilon u at u = epsilon / 1e5 ~ 6.7e-6, where approx's default
     # absolute tolerance, 1e-12, would pass an error of 1.5e-7 relative
     f = parse("100000*u^2", "u")
-    cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
+    cert = build_report(f, ctx_t2).f0_certificate
     assert cert.rho1 == pytest.approx(cert.epsilon / 1e5, rel=1e-12, abs=0.0)
 
 
@@ -134,7 +127,7 @@ def test_certificate_within_the_scan_slack(ctx_t2):
     # to u ~ 102: no point of the first rescan's bracket lies below the ray,
     # so rho1 stays at the scan point that the slack let pass
     f = parse("0.66666666666667663*u*u^4/(u^4+0.00000001)", "u")
-    cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
+    cert = build_report(f, ctx_t2).f0_certificate
     us = hypotheses._scan_grid(-9.0, 3.0)
     k = int(np.argmax(f(us) - cert.epsilon * us > hypotheses.MARGIN_SLACK))
     assert cert.rho1 == us[k - 1]
@@ -143,7 +136,7 @@ def test_certificate_within_the_scan_slack(ctx_t2):
 
 def test_certificate_scan_invariant(ctx_t2):
     for f in (F_SATURATING, F_SQUARE):
-        cert = certify_f0_zero(f, ctx_t2, estimate_f0(f))
+        cert = build_report(f, ctx_t2).f0_certificate
         us = np.logspace(-9.0, math.log10(cert.rho1), 10**4)
         margins = np.array([f(float(u)) - cert.epsilon * u for u in us])
         assert float(np.max(margins)) <= 1e-12
@@ -153,27 +146,27 @@ def test_certificate_scan_invariant(ctx_t2):
 
 
 def test_bounded_certificate(ctx_t2):
-    cert = certify_finf_zero(F_BOUNDED, ctx_t2, estimate_finf(F_BOUNDED))
+    cert = build_report(F_BOUNDED, ctx_t2).finf_certificate
     assert cert is not None and cert.bounded_case
     assert cert.L == pytest.approx(1.0, abs=1e-6)
 
 
 def test_bounded_certificate_hump(ctx_t2):
     f = parse("u*exp(-u)", "u")
-    cert = certify_finf_zero(f, ctx_t2, estimate_finf(f))
+    cert = build_report(f, ctx_t2).finf_certificate
     assert cert is not None and cert.bounded_case
     assert cert.L == pytest.approx(math.exp(-1.0), rel=3e-6)
 
 
 def test_no_certificate_when_finf_positive(ctx_t2):
-    assert certify_finf_zero(F_SQUARE, ctx_t2, estimate_finf(F_SQUARE)) is None
-    assert certify_finf_zero(F_SATURATING, ctx_t2, estimate_finf(F_SATURATING)) is None
+    assert build_report(F_SQUARE, ctx_t2).finf_certificate is None
+    assert build_report(F_SATURATING, ctx_t2).finf_certificate is None
 
 
 def test_unbounded_sublinear_certificate(ctx_t2):
     # u^(1/4) is not expressible in the grammar; duck-typed callable
     f = lambda u: u**0.25  # noqa: E731
-    cert = certify_finf_zero(f, ctx_t2, estimate_finf(f))
+    cert = build_report(f, ctx_t2).finf_certificate
     assert cert is not None and not cert.bounded_case
     assert cert.eta == 1.0 - ctx_t2.alpha
     assert cert.rho_hat2 == max(cert.sigma, cert.rho2)
@@ -190,14 +183,14 @@ def test_unbounded_sublinear_certificate(ctx_t2):
 def test_certificate_refused_although_f0_is_zero(ctx_t2, text):
     # f(1e-9) = 1e-9 > (2/3) 1e-9; or f <= (2/3) u only up to u ~ 8.2e-7 < RHO1_MIN
     f = parse(text, "u")
-    est = estimate_f0(f)
-    assert est.is_zero() and certify_f0_zero(f, ctx_t2, est) is None
+    report = build_report(f, ctx_t2)
+    assert report.f0_estimate.is_zero() and report.f0_certificate is None
 
 
 def test_case2_with_no_point_above_the_ray(ctx_t2):
     # f <= u/2 < (2/3) u everywhere, and f grows through the probe's last decade
     f = parse("0.5*u*exp(-u/1000000)", "u")
-    cert = certify_finf_zero(f, ctx_t2, estimate_finf(f))
+    cert = build_report(f, ctx_t2).finf_certificate
     first = float(hypotheses._probe()[1])
     assert not cert.bounded_case and cert.rho2 == first == pytest.approx(1e-9, rel=1e-15)
     assert cert.sigma == f(first) / cert.eta and cert.rho_hat2 == first
@@ -206,8 +199,8 @@ def test_case2_with_no_point_above_the_ray(ctx_t2):
 def test_case2_refused_above_the_ray_at_the_cap(ctx_t2):
     # finf = 0, but f(1e6) = 1e6 exp(-1/4) lies above (2/3) u
     f = parse("u*exp(-(u/2000000)^2)", "u")
-    est = estimate_finf(f)
-    assert est.is_zero() and certify_finf_zero(f, ctx_t2, est) is None
+    report = build_report(f, ctx_t2)
+    assert report.finf_estimate.is_zero() and report.finf_certificate is None
 
 
 # --- H1 / H2 ---------------------------------------------------------------
@@ -256,12 +249,15 @@ def test_h1_scan_continues_past_failures():
     assert exc.which == "H1" and str(exc).startswith("hypothesis H1 violated: f(1.00207")
 
 
-def test_schedule_keeps_samples_before_first_failure():
+def test_schedule_keeps_samples_before_first_failure(ctx_t2):
     # negative only past the failing point u = 1000: divergent, no violation
-    est = estimate_finf(parse("1/(1000-u)", "u"))
+    est = build_report(parse("1/(1000-u)", "u"), ctx_t2).finf_estimate
     assert est.divergent and [u for u, _ in est.samples] == [10.0, 100.0]
     with pytest.raises(HypothesisViolation):
-        estimate_finf(parse("1/(u-1000)", "u"))  # negative before it
+        build_report(parse("1/(u-1000)", "u"), ctx_t2)  # negative before it
+    # >= 0 on the f0 schedule, negative at u = 10 of the finf schedule, before u = 1000
+    with pytest.raises(HypothesisViolation, match=r"f\(10\.0\) = "):
+        build_report(parse("(u-1)/(u-1000)", "u"), ctx_t2)
 
 
 # --- assembled report -------------------------------------------------------
@@ -299,7 +295,7 @@ def test_report_coherence(ctx_t2):
     "1000000000000*u^3", "0.5*u*exp(-u/1000000)", "u*exp(-(u/2000000)^2)", "exp(4000*u*(1-u)) + 1",
 ])
 def test_report_from_the_gate_probe_matches_build_report(ctx_t2, text):
-    # analyze reads the gate's values; the library adapter evaluates f itself
+    # analyze reads the gate's values; build_report evaluates f itself
     f = parse(text, "u")
     gate = check_h1_h2(f, A_QUADRATIC)
     assert hypotheses.report_from_probe(f, gate.ctx, gate.f_probe) == build_report(f, ctx_t2)

@@ -6,16 +6,21 @@ from beambvp.exprlang import parse
 from beambvp.kernel import (
     KernelContext,
     correction_values,
-    g_weight,
-    green,
+    g_envelope,
     green_matrix,
     make_context,
     sample_weight,
 )
 from beambvp.linear import operator_matrix
 from beambvp.quadrature import QuadratureSettings, integrate, nodes_weights
+from beambvp.solver import _discretization
 
 GRID = np.linspace(0.0, 1.0, 201)
+
+
+def green(t, s):
+    """G at one point (t, s)."""
+    return float(green_matrix([t], [s])[0, 0])
 
 
 def test_green_point_values():
@@ -31,32 +36,24 @@ def _green_one_expression(t, s):
     return np.where(s <= t, upper - (t - s) ** 3, upper) / 6.0
 
 
-def test_branch_split_bit_identical():
+def test_branch_split_bit_identical(ctx_t2):
     reference = _green_one_expression(GRID[:, None], GRID[None, :])
     assert green_matrix(GRID, GRID).tobytes() == reference.tobytes()
-    points = [(float(t), float(s)) for t, s in zip(GRID, GRID[::-1])] + [(0.3, 0.3), (0.7, 0.2)]
-    assert [green(t, s) for t, s in points] == [float(_green_one_expression(t, s)) for t, s in points]
-    assert g_weight(GRID).tobytes() == (GRID * (1.0 - GRID) ** 2 / 6.0).tobytes()
-
-
-def test_green_domain_checked():
-    with pytest.raises(ValueError):
-        green(1.2, 0.0)
-    with pytest.raises(ValueError):
-        green(0.0, -0.1)
+    ts = np.append(GRID, [0.3, 0.7])
+    ss = np.append(GRID[::-1], [0.3, 0.2])
+    assert np.diag(green_matrix(ts, ss)).tobytes() == _green_one_expression(ts, ss).tobytes()
+    # the norm bound's weights are the envelope at the nodes
+    grid_g = _discretization(ctx_t2, 200).g
+    assert grid_g.tobytes() == (GRID * (1.0 - GRID) ** 2 / 6.0).tobytes()
 
 
 def test_g_weight_values():
-    assert g_weight(0.0) == 0.0
-    assert g_weight(1.0) == 0.0
-    assert g_weight(0.5) == pytest.approx(1.0 / 48.0, abs=1e-16)
-    with pytest.raises(ValueError):
-        g_weight(1.5)
-    values = g_weight(np.array([0.0, 0.5, 1.0]))
+    assert g_envelope(0.0) == 0.0
+    assert g_envelope(1.0) == 0.0
+    assert g_envelope(0.5) == pytest.approx(1.0 / 48.0, abs=1e-16)
+    values = g_envelope(np.array([0.0, 0.5, 1.0]))
     assert values.shape == (3,) and values[0] == values[2] == 0.0
     assert values[1] == pytest.approx(1.0 / 48.0, abs=1e-16)
-    with pytest.raises(ValueError):
-        g_weight(np.array([0.5, 1.5]))
 
 
 def test_green_nonnegative_on_grid():

@@ -297,17 +297,16 @@ def test_picard_singular_gram_takes_the_plain_step(ctx_t2, monkeypatch):
     ids=["converged", "A-overflows", "f-fails"],
 )
 def test_picard_report_carries_its_diagnosis(ctx_t2, f_text, u0, status):
-    # the start bound, f(u), A u and the ODE rows, as the separate calls compute them
+    # the start bound, A u and the ODE rows, as the separate calls compute them from f(u)
     f, config = parse(f_text, "u"), SolveConfig(n=40, u0=u0)
     report = picard_solve(f, ctx_t2, config)
     assert report.status == status
     assert report.bound_at_start == norm_bound_check(config.initial_guess(), f, ctx_t2)
     u = report.solution
     if f_text == "0.001*exp(u)":
-        assert report.fvals is None and report.au is None and report.ode_defects is None
+        assert report.au is None and report.ode_defects is None
         return
     fvals = f(u.values)
-    assert np.array_equal(report.fvals, fvals)
     au = operator_matrix(ctx_t2, 40)(fvals)
     assert (report.au is None) == (not np.isfinite(au).all())
     if report.au is not None:
@@ -529,6 +528,43 @@ def test_residual_ode_rejects_negative_f(ctx_t2):
 def test_residual_ode_needs_fine_grid(ctx_t2):
     with pytest.raises(ValueError):
         residual_ode(GridFunction.constant(0.0, 8), F_ONE, ctx_t2)
+
+
+def _scaled_then_unscaled_rows(u, fvals, aw):
+    """The defects as a finite-difference Newton solve formed them: its system's
+    h-scaled rows, all O(||u||), then absolute values divided by powers of h."""
+    v, h, n = u.values, u.h, u.n
+    d1 = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
+    d2 = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / 12.0
+    r = np.empty(n + 1)
+    r[0] = np.dot(d1, v[:4])  # h * u'(0)
+    r[1] = np.dot(d2, v[:5])  # h^2 * u''(0)
+    r[2 : n - 1] = (
+        v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2] - 4.0 * v[3:-1] + v[4:] + h**4 * fvals[2:-2]
+    )
+    r[n - 1] = -np.dot(d1, v[-1:-5:-1])  # h * u'(1)
+    r[n] = v[0] - np.dot(aw, v)
+    rows = np.abs(r)
+    rows[[0, -2]] /= h
+    rows[1] /= h**2
+    rows[2:-2] /= h**4
+    return rows
+
+
+@pytest.mark.parametrize("n", [40, 800, 3200])
+def test_ode_defects_bit_identical_to_scaled_rows(ctx_t2, n):
+    # the CSV's fourth_diff_residual column and the residual_ode keys read these rows
+    f = parse("0.5*u/(1+u) + 0.3", "u")
+    fixed = picard_solve(f, ctx_t2, SolveConfig(n=n, u0=1.0)).solution
+    wobble = 1.0 + 1e-3 * np.sin(37.0 * fixed.ts)
+    aw = solver._discretization(ctx_t2, n).aw
+    for u in (fixed, GridFunction(n, fixed.values * wobble)):
+        rows = solver._ode_defects(u, f(u.values), ctx_t2)
+        assert rows.tobytes() == _scaled_then_unscaled_rows(u, f(u.values), aw).tobytes()
+    # where f fails at u there are no rows
+    u = GridFunction.constant(800.0, n)
+    fvals, _ = apply_A(u, parse("0.001*exp(u)", "u"), operator_matrix(ctx_t2, n))
+    assert fvals is None and solver._ode_defects(u, fvals, ctx_t2) is None
 
 
 # --- collocation oracle ----------------------------------------------------
