@@ -15,15 +15,15 @@ binomial shift plus the exact moment of one panel: four chained prefix
 sums that add, never subtract, earlier moments, so nothing large
 cancels.  The even nodes 0, 2, ..., n - 2 are panel starts and read J3
 there; a point inside a panel (an odd node, node n, an abscissa of the
-correction rule, any given point) adds the closed-form partial-
-panel moment.  The nonlocal constant, integral of c(s) y(s) ds, is the
-same evaluator summed over the context's correction rule (``ctx.taus``,
-``ctx.tau_weights``).  Building the operator does the y-independent work
-once (panel positions of the in-panel points, their partial-panel
-moments, the binomial shift coefficients and powers of the panel width)
-and evaluates nothing; one application is O(n) in time and memory, so
-callers that apply it many times build it once.  Two properties follow
-that a plain sample-the-kernel-at-nodes Nystrom matrix does not give:
+correction rule) adds the closed-form partial-panel moment.  The nonlocal
+constant, integral of c(s) y(s) ds, is the same evaluator summed over the
+context's correction rule (``ctx.taus``, ``ctx.tau_weights``).  Building
+the operator does the y-independent work once (panel positions of the
+in-panel points, their partial-panel moments, the binomial shift
+coefficients and powers of the panel width) and evaluates nothing; one
+application is O(n) in time and memory, so callers that apply it many
+times build it once.  Two properties follow that a plain
+sample-the-kernel-at-nodes Nystrom matrix does not give:
 
 * the operator is exact (to roundoff) whenever y is piecewise quadratic,
   so polynomial oracle comparisons are limited only by interpolation of
@@ -62,31 +62,22 @@ def _partial_moment3(xi: np.ndarray) -> np.ndarray:
     return np.stack([x4 / 4 - 3 * x5 / 20 + x6 / 30, x5 / 5 - x6 / 15, x6 / 30 - x5 / 20])
 
 
-def operator_matrix(ctx: KernelContext, n: int,
-                    points: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+def operator_matrix(ctx: KernelContext, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """The (n+1) x (n+1) operator mapping grid y-values to grid u-values,
-    as its apply function ``op(y)``; with ``points``, an array of t in
-    [0, 1], op(y) is A y at those points instead, the same at a grid node.
+    as its apply function ``op(y)``.
 
     Building it does the y-independent work once: where each in-panel point
-    (odd node, node n or given point, abscissa of the context's correction
-    rule) falls in its panel.  ``op(y)`` then applies it in O(n) time and
-    memory; no matrix is formed.
+    (odd node, node n, abscissa of the context's correction rule) falls in
+    its panel.  ``op(y)`` then applies it in O(n) time and memory; no
+    matrix is formed.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"operator grid needs even n >= 2, got n={n}")
     panels = n // 2
     d = 1.0 / panels
-    # x = t / d, in panel units, of the points inside a panel: the odd nodes and
-    # node n, or the given points, then the rule's abscissae
-    if points is None:
-        inner = np.append(np.arange(1, n + 1, 2) / 2.0, panels)
-    else:  # a point within rounding of a node is that node, so op(y) matches the grid there
-        inner = np.asarray(points, dtype=float) * panels
-        node = np.round(2.0 * inner) / 2.0
-        inner = np.where(np.abs(inner - node) <= 4.0 * np.finfo(float).eps * panels, node, inner)
-    n_inner = len(inner)
-    x = np.concatenate((inner, ctx.taus * panels))
+    # x = t / d, in panel units, of the points inside a panel: the odd nodes,
+    # node n, then the rule's abscissae
+    x = np.concatenate((np.arange(1, n + 1, 2) / 2.0, [panels], ctx.taus * panels))
     p = np.minimum(x.astype(int), panels - 1)
     xi = x - p
     panel_ends = 2 * p + np.arange(3)[:, None]  # y[2p + b]: basis b's value on each panel
@@ -126,9 +117,7 @@ def operator_matrix(ctx: KernelContext, n: int,
             v += tail
             np.subtract(cube * j[2, -1], v, out=v)
             v /= 6.0
-            constant = ctx.tau_weights @ v[n_inner:]
-            if points is not None:
-                return v[:n_inner] + constant
+            constant = ctx.tau_weights @ v[panels + 1:]
             u = np.empty(n + 1)
             even = u[0:n:2]
             np.multiply(start_cube, j[2, -1], out=even)

@@ -147,7 +147,6 @@ class CollocationResult:
     residual: float  # sup of the row-equilibrated collocation equations
     residual_trace: list[float] = field(repr=False)  # initial, then one per step
     halvings: list[int] = field(repr=False)  # step halvings per Newton step
-    nodes: np.ndarray = field(repr=False)  # its values at CHEBYSHEV_POINTS
     error_estimate: float  # sup of the last Newton step, d_o; inf: none solved
     amplification: float  # sup norm of (I - A f')^-1 at the solution; inf: not converged
 
@@ -189,7 +188,7 @@ def interior_tolerance(n: int, u_norm: float) -> float:
     reachable residual grows like machine epsilon * n^4 * ||u||; below
     ``INTERIOR_FLOOR`` the fixed floor applies.
     """
-    return max(INTERIOR_FLOOR, 100.0 * np.finfo(float).eps * float(n) ** 4 * u_norm)
+    return max(INTERIOR_FLOOR, 100.0 * float(np.finfo(float).eps) * float(n) ** 4 * u_norm)
 
 
 class _Discretization:
@@ -228,20 +227,22 @@ def _discretization(ctx: KernelContext, n: int) -> _Discretization:
 def _ode_defects(u: GridFunction, fvals: np.ndarray | None, ctx: KernelContext) -> np.ndarray | None:
     """The finite-difference equations at u, given fvals = f(u), each formed h-scaled
     and then divided by its power of h: |u'(0)|, |u''(0)|, |D4 u + f(u)| at nodes
-    2..n-2, |u'(1)| and |u(0) - sum of aw u|; None where f failed (fvals None)."""
+    2..n-2, |u'(1)| and |u(0) - sum of aw u|; None where f failed (fvals None).
+    Near the float limit a row overflows to inf or nan, without a warning."""
     if fvals is None:
         return None
-    v, h = u.values, u.h
+    v, h, aw = u.values, u.h, _discretization(ctx, u.n).aw
     rows = np.empty(u.n + 1)
-    rows[0] = np.dot(_D1_FORWARD, v[:4])  # h * u'(0)
-    rows[1] = np.dot(_D2_FORWARD, v[:5])  # h^2 * u''(0)
-    rows[2:-2] = v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2] - 4.0 * v[3:-1] + v[4:] + h**4 * fvals[2:-2]
-    rows[-2] = np.dot(_D1_FORWARD, v[-1:-5:-1])  # -h * u'(1)
-    rows[-1] = v[0] - np.dot(_discretization(ctx, u.n).aw, v)
-    np.abs(rows, out=rows)
-    rows[[0, -2]] /= h
-    rows[1] /= h**2
-    rows[2:-2] /= h**4
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[0] = np.dot(_D1_FORWARD, v[:4])  # h * u'(0)
+        rows[1] = np.dot(_D2_FORWARD, v[:5])  # h^2 * u''(0)
+        rows[2:-2] = v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2] - 4.0 * v[3:-1] + v[4:] + h**4 * fvals[2:-2]
+        rows[-2] = np.dot(_D1_FORWARD, v[-1:-5:-1])  # -h * u'(1)
+        rows[-1] = v[0] - np.dot(aw, v)
+        np.abs(rows, out=rows)
+        rows[[0, -2]] /= h
+        rows[1] /= h**2
+        rows[2:-2] /= h**4
     return rows
 
 
@@ -401,10 +402,10 @@ def agreement_bound(report: SolveReport, colloc: CollocationResult, f: Expressio
     as one fixed point.  First 2 (r + d_o) / (1 - theta), twice the stopping
     rules' errors: r = ||u - A u||, theta = r / (Picard's last step), at most
     0.999, and d_o the oracle's last Newton step.  Only where ``agreement``
-    exceeds it, Picard's map is applied to u_o: e = |A f(u_o) - u_o| at the
-    Chebyshev points is Picard's discretization error there, plus the
-    oracle's, and with the oracle's K = ||(I - A f')^-1|| the bound is
-    2 (K (r + e) + d_o), which also stands in for a theta that Anderson
+    exceeds it, Picard's map is applied to u_o by the solve's own operator:
+    e = |A f(u_o) - u_o| on the grid is Picard's discretization error there,
+    plus the oracle's, and with the oracle's K = ||(I - A f')^-1|| the bound
+    is 2 (K (r + e) + d_o), which also stands in for a theta that Anderson
     mixing makes understate the contraction.  None where f fails or A
     overflows at u_o."""
     r = report.residual_integral
@@ -414,12 +415,12 @@ def agreement_bound(report: SolveReport, colloc: CollocationResult, f: Expressio
         return stopping
     u_o = colloc.solution
     try:
-        nystrom = operator_matrix(ctx, u_o.n, CHEBYSHEV_POINTS)(f(np.maximum(u_o.values, 0.0)))
+        nystrom = _discretization(ctx, u_o.n).op(f(np.maximum(u_o.values, 0.0)))
     except ExprEvalError:
         return None
     if not np.isfinite(nystrom).all():
         return None
-    e = float(np.max(np.abs(nystrom - colloc.nodes)))
+    e = float(np.max(np.abs(nystrom - u_o.values)))
     return 2.0 * (colloc.amplification * (r + e) + colloc.error_estimate)
 
 
@@ -444,9 +445,9 @@ def collocation_oracle(
     ``NEWTON_RTOL`` sup |u|, and takes that step too where it lowers the
     residual; a step is halved (up to 30 times) until the residual drops, an
     f failure counting as an infinite residual, else it is "stagnated".
-    Where f fails at u0: "diverged", 0 steps, residual inf; where it fails at
-    a probe of f': "diverged", with the steps so far.  The solution is the
-    Chebyshev interpolant of the values at the points, on ``config``'s grid.
+    Where f fails or a row overflows at u0: "diverged", 0 steps, residual
+    inf; where f fails at a probe of f': "diverged", with the steps so far.
+    The solution is the Chebyshev interpolant of the values, on ``config``'s grid.
     """
     d1, d2, d4, to_coeffs, weights = _chebyshev()
     inner = np.arange(2, ORACLE_N - 1)
@@ -457,14 +458,17 @@ def collocation_oracle(
     rows *= scale[:, None]
 
     def system(v: np.ndarray) -> tuple[np.ndarray | None, float]:
-        """The equilibrated rows at v and their largest magnitude; (None, inf) where f fails."""
+        """The equilibrated rows at v and their largest magnitude; (None, inf)
+        where f fails or a row is not finite."""
         try:
             load = f(np.maximum(v[inner], 0.0))
         except ExprEvalError:
             return None, math.inf
-        res = rows @ v
-        res[inner] += scale[inner] * load
-        return res, float(np.max(np.abs(res)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = rows @ v
+            res[inner] += scale[inner] * load
+            norm = float(np.max(np.abs(res)))
+        return (res, norm) if math.isfinite(norm) else (None, math.inf)
 
     u = np.full(ORACLE_N + 1, config.u0)
     residual, res_norm = system(u)
@@ -504,6 +508,6 @@ def collocation_oracle(
     solution = np.polynomial.chebyshev.chebval(1.0 - 2.0 * ts, to_coeffs @ u)
     return CollocationResult(
         solution=GridFunction(config.n, solution), status=status, iterations=len(halvings),
-        residual=res_norm, residual_trace=trace, halvings=halvings, nodes=u,
+        residual=res_norm, residual_trace=trace, halvings=halvings,
         error_estimate=error_estimate, amplification=amplification,
     )

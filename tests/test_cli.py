@@ -229,14 +229,20 @@ def test_solve_exits_4_when_picard_is_two_percent_off(tmp_path, capsys, monkeypa
 
 def test_solve_exits_4_where_picards_error_cannot_be_measured(tmp_path, capsys, monkeypatch):
     # the agreement 2.8e-5 exceeds the stopping part, so the gate applies
-    # Picard's map at the oracle's solution; where that overflows, it exits 4
-    build = linear.operator_matrix
+    # Picard's grid operator at the oracle's solution; where that overflows,
+    # it exits 4.  Picard's applies all come before the oracle's solve.
+    build, oracle, oracle_done = linear.operator_matrix, solver.collocation_oracle, []
 
-    def overflows_at_points(ctx, n, points=None):
-        op = build(ctx, n, points)
-        return op if points is None else (lambda y: np.full(len(points), np.inf))
+    def overflows_after_the_oracle(ctx, n):
+        op = build(ctx, n)
+        return lambda y: np.full(n + 1, np.inf) if oracle_done else op(y)
 
-    monkeypatch.setattr(solver, "operator_matrix", overflows_at_points)
+    def recording_oracle(f, ctx, config):
+        oracle_done.append(True)
+        return oracle(f, ctx, config)
+
+    monkeypatch.setattr(solver, "operator_matrix", overflows_after_the_oracle)
+    monkeypatch.setattr(solver, "collocation_oracle", recording_oracle)
     path = write_problem(tmp_path, STEEP_SATURATING + "grid_n = 20\n")
     assert cli.main(["solve", path, "--out", str(tmp_path / "u.csv")]) == 4
     captured = capsys.readouterr()
@@ -694,20 +700,23 @@ def test_solve_overflow_of_A_only_at_initial_guess(tmp_path, capsys):
 
 def test_solve_builds_one_operator(tmp_path, capsys, monkeypatch):
     # Picard builds the operator; the start bound, the CSV rows and the gate
-    # read its report (the gate applies A at the oracle's points only where
-    # the stopping rules' error does not cover the agreement)
+    # read its report, and where the stopping rules' error does not cover the
+    # agreement (2.8e-5 for the steep problem at n = 20), the gate applies the
+    # same operator to the oracle's solution
     builds = []
     build = linear.operator_matrix
 
-    def counting_build(ctx, n, points=None):
-        builds.append(n if points is None else (n, len(points)))
-        return build(ctx, n, points)
+    def counting_build(ctx, n):
+        builds.append(n)
+        return build(ctx, n)
 
     for module in (linear, solver, cli):
         monkeypatch.setattr(module, "operator_matrix", counting_build)
-    fixture = resources.files("beambvp.fixtures").joinpath("example_a.problem")
-    assert cli.main(["solve", str(fixture), "--out", str(tmp_path / "out")]) == 0
-    assert builds == [800]
+    example_a = resources.files("beambvp.fixtures").joinpath("example_a.problem").read_text()
+    for text, n in ((example_a, 800), (STEEP_SATURATING + "grid_n = 20\n", 20)):
+        builds.clear()
+        assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+        assert builds == [n]
 
 
 CSV_CASES = {
@@ -789,6 +798,27 @@ def test_analyze_f_near_float_limit_is_quiet(tmp_path, capsys):
     assert cli.main(["analyze", path]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and "f0 = divergent" in captured.out
+
+
+NEAR_FLOAT_LIMIT = {
+    # the oracle's rows overflow at u0, and for f = u Picard's A u0 and its ODE rows too
+    "f-zero": ("f = 0\na = t^2\nu0 = constant 1e308\n", 4),
+    "f-linear": ("f = u\na = 0.999\nu0 = constant 1e308\n", 4),
+    # the ODE rows and their tolerance overflow only after division by h^4 = 2^-80
+    "f-huge": ("f = 1e308\na = t^2\ngrid_n = 1048576\nmax_iter = 2\n", 0),
+}
+
+
+@pytest.mark.parametrize("text, code", NEAR_FLOAT_LIMIT.values(), ids=NEAR_FLOAT_LIMIT.keys())
+def test_solve_near_float_limit_is_quiet(tmp_path, capsys, text, code):
+    # an overflow is a value, not a warning (pyproject makes a RuntimeWarning
+    # an error); rows that overflow at u0 end the oracle as an f failure does
+    assert cli.main(["solve", write_problem(tmp_path, text), "--out", str(tmp_path / "u.csv")]) == code
+    out = capsys.readouterr().out
+    if code == 4:
+        assert _summary_value(out, "collocation_status") == "diverged"
+        assert _summary_value(out, "collocation_newton_iterations") == "0"
+        assert _summary_value(out, "collocation_residual") == "inf"
 
 
 @pytest.mark.parametrize("command, a_evals", [("solve", 3), ("analyze", 1)])

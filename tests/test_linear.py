@@ -16,7 +16,7 @@ from beambvp.linear import (
     polynomial_oracle,
 )
 from beambvp.quadrature import QuadratureSettings
-from beambvp.solver import CHEBYSHEV_POINTS, _ode_defects
+from beambvp.solver import _ode_defects
 
 # exact solution for y = 1, a = t^2: u = -t^4/24 + t^3/18 + 5/1008
 ORACLE_Y1 = np.array([5.0 / 1008.0, 0.0, 0.0, 1.0 / 18.0, -1.0 / 24.0])
@@ -174,36 +174,6 @@ def test_operator_bit_identical_to_reference(n, quad_panels):
     expected = np.isfinite(ref(overflowing))
     assert not expected.all()
     assert np.array_equal(np.isfinite(op(overflowing)), expected)
-
-
-@pytest.mark.parametrize("n", [20, 22, 800, 1800, 20004])
-def test_operator_at_nodes_matches_the_grid_on_shared_nodes(n):
-    # A y at the 401 points i / 400: where node i is node
-    # i n / 400 of the operator's grid, it lands on the same panel point
-    ctx = make_context(parse("0.9*t^2", "t"))
-    i = np.arange(401)
-    shared = i * n % 400 == 0
-    op, at_nodes = operator_matrix(ctx, n), operator_matrix(ctx, n, np.linspace(0.0, 1.0, 401))
-    for y in _reference_loads(n):
-        assert np.array_equal(at_nodes(y)[shared], op(y)[i[shared] * n // 400])
-
-
-@pytest.mark.parametrize("n", [20, 422, 20004])
-def test_operator_at_nodes_unit_load_matches_oracle(ctx_t2, n):
-    # y = 1 is quadratic on every panel, so off the grid, too, only the
-    # correction rule's constant is inexact
-    u = operator_matrix(ctx_t2, n, np.linspace(0.0, 1.0, 401))(np.ones(n + 1))
-    exact = np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, 401), ORACLE_Y1)
-    assert float(np.max(np.abs(u - exact))) < 1e-12
-
-
-@pytest.mark.parametrize("n", [20, 800])
-def test_operator_at_chebyshev_points_unit_load_matches_oracle(ctx_t2, n):
-    # the points where the agreement gate applies Picard's map
-    u = operator_matrix(ctx_t2, n, CHEBYSHEV_POINTS)(np.ones(n + 1))
-    coeffs = polynomial_oracle([1.0], [0.0, 0.0, 1.0])
-    exact = np.polynomial.polynomial.polyval(CHEBYSHEV_POINTS, coeffs)
-    assert float(np.max(np.abs(u - exact))) < 1e-12
 
 
 def test_operator_matrix_needs_even_grid(ctx_t2):

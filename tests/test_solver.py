@@ -162,9 +162,9 @@ def test_contexts_with_equal_constants_keep_their_own_operators():
 def test_one_discretization_per_context_and_grid(ctx_t2, monkeypatch):
     n, builds, samplings = 3200, [], []
 
-    def counting_build(ctx, n, points=None):
+    def counting_build(ctx, n):
         builds.append(n)
-        return operator_matrix(ctx, n, points)
+        return operator_matrix(ctx, n)
 
     def counting_weight(ts):
         samplings.append(len(ts))
@@ -315,11 +315,11 @@ def test_picard_report_carries_its_diagnosis(ctx_t2, f_text, u0, status):
     assert report.residual_ode == residual_ode(u, f, ctx_t2)
 
 
-def _oracle_result(solution, nodes, error_estimate=0.0, amplification=1.0):
+def _oracle_result(solution, error_estimate=0.0, amplification=1.0):
     """A converged CollocationResult with the given fields."""
     return solver.CollocationResult(
         solution=solution, status="converged", iterations=0, residual=0.0, residual_trace=[0.0],
-        halvings=[], nodes=nodes, error_estimate=error_estimate, amplification=amplification,
+        halvings=[], error_estimate=error_estimate, amplification=amplification,
     )
 
 
@@ -335,7 +335,7 @@ def test_agreement_bound_covers_picard_stopping_error(ctx_t2):
     config = SolveConfig(n=400, tol=1e-3)
     loose = picard_solve(f, ctx_t2, config)
     exact = picard_solve(f, ctx_t2, SolveConfig(n=400, tol=1e-14)).solution
-    oracle = _oracle_result(exact, np.zeros(solver.ORACLE_N + 1))
+    oracle = _oracle_result(exact)
     error = float(np.max(np.abs(loose.solution.values - exact.values)))
     assert 1e-5 < error <= agreement_bound(loose, oracle, f, ctx_t2, 0.0)
 
@@ -346,7 +346,7 @@ def test_agreement_bound_counts_the_oracle_defect(ctx_t2):
     f = parse("u^2", "u")
     picard = picard_solve(f, ctx_t2, SolveConfig(n=20))
     assert picard.residual_integral == 0.0 and picard.solution.sup_norm() == 0.0
-    oracle = _oracle_result(zero, np.zeros(solver.ORACLE_N + 1), error_estimate=1e-12)
+    oracle = _oracle_result(zero, error_estimate=1e-12)
     assert agreement_bound(picard, oracle, f, ctx_t2, 0.0) == 2.0 * 1e-12
 
 
@@ -403,7 +403,7 @@ def test_agreement_bound_is_small_at_a_different_fixed_point():
 def test_agreement_bound_is_none_where_f_fails_at_the_oracle_solution(ctx_t2):
     # f fails at the oracle's solution, u = 800, so Picard's map cannot measure its error there
     picard = picard_solve(F_ONE, ctx_t2, SolveConfig(n=20))
-    oracle = _oracle_result(GridFunction.constant(800.0, 20), np.full(solver.ORACLE_N + 1, 800.0))
+    oracle = _oracle_result(GridFunction.constant(800.0, 20))
     assert agreement_bound(picard, oracle, parse("0.001*exp(u)", "u"), ctx_t2, 1.0) is None
 
 
@@ -576,8 +576,6 @@ def test_collocation_matches_polynomial_oracle(ctx_t2):
     assert result.status == "converged"
     exact = np.polynomial.polynomial.polyval(result.solution.ts, ORACLE_Y1)
     assert float(np.max(np.abs(result.solution.values - exact))) < 1e-12
-    at_nodes = np.polynomial.polynomial.polyval(solver.CHEBYSHEV_POINTS, ORACLE_Y1)
-    assert float(np.max(np.abs(result.nodes - at_nodes))) < 1e-12
 
 
 def test_collocation_zero_f(ctx_t2):
