@@ -427,7 +427,7 @@ def _analyze_problem(problem: ProblemFile, out_path: Optional[str] = None):
     """Print the analysis block (and write it to ``out_path``); shared by
     cmd_analyze and cmd_reproduce_examples.  Returns (h1h2, report)."""
     h1h2 = hypotheses.check_h1_h2(problem.f, problem.a, problem.quad, problem.theta)
-    report = hypotheses.report_from_probe(problem.f, h1h2.ctx, h1h2.f_probe)
+    report = hypotheses.build_report(problem.f, h1h2.ctx, h1h2.f_probe)
     lines = _print_analysis(problem, h1h2, report)
     if out_path:
         Path(out_path).write_text("\n".join(lines) + "\n")

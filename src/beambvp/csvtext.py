@@ -2,8 +2,8 @@
 
 Each cell's 17 digits come from a double-double product |x| * 10**k; its
 text is masked out of a byte row holding every character a cell can need.
-The finite cells the kernel cannot certify (|x| outside [1e-280, 1e290],
-near-ties) are formatted by ``%``, in one call per chunk.
+The finite cells the kernel cannot certify, near-ties, are formatted by
+``%``, in one call per chunk.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 CHUNK = 4096  # cells per chunk, rounded down to whole rows
-_KMIN, _KMAX = -275, 298  # the scale factors 10**k that 1e-280 <= |x| <= 1e290 need
+_KMIN, _KMAX = -292, 340  # the scale factors 10**k that every finite nonzero |x| needs
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split constant
 _WIDE = 24  # longest %.17g text: -2.2250738585072014e-308
 # A cell's byte row, in output order: "-", "0.000", d0, ".", d1..d16 (in fixed
@@ -28,16 +28,19 @@ _LAYOUTS = _FALLBACK + _WIDE
 
 
 @functools.cache
-def _powers() -> np.ndarray:
-    """Rows (hi, hh, hl, lo) by k - _KMIN: 10**k = hi + lo, each rounded to
-    nearest, and hi = hh + hl split."""
+def _powers() -> tuple[np.ndarray, np.ndarray]:
+    """By k - _KMIN: rows (hi, hh, hl, lo) and scales 2**e, where 10**k =
+    2**e * (hi + lo) with e about log2(10**k), at most 1023, hi and lo each
+    rounded to nearest, and hi = hh + hl split."""
     rows = []
     for k in range(_KMIN, _KMAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        e = min(num.bit_length() - den.bit_length(), 1023)
+        num, den = (num, den << e) if e >= 0 else (num << -e, den)
         p, q = (num / den).as_integer_ratio()  # int / int rounds correctly
-        rows.append((p / q, (num * q - p * den) / (q * den)))
-    hi, lo = np.array(rows).T
-    return np.stack([hi, *_split(hi), lo], axis=1)
+        rows.append((p / q, (num * q - p * den) / (q * den), e))
+    hi, lo, e = np.array(rows).T
+    return np.stack([hi, *_split(hi), lo], axis=1), np.ldexp(1.0, e.astype(int))
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +53,11 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scaled(v: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer part and fraction of v * 10**(16 - X), exact where the product
     is at least 2**53; a smaller one comes out below 10**16 all the same."""
-    hi, hh, hl, lo = _powers().take(16 - _KMIN - X, axis=0).T
+    table, scales = _powers()
+    hi, hh, hl, lo = table.take(16 - _KMIN - X, axis=0).T
+    # exact: v * 2**e = v * 10**k / (hi + lo) is a normal double; the error bound
+    # below reads v for v * 2**e and 10**k for 10**k / 2**e
+    v = v * scales.take(16 - _KMIN - X)
     p = v * hi  # an integer from 2**53 on
     vh, vl = _split(v)
     # Error bound.  Dekker: vh*hh - p + vh*hl + vl*hh + vl*hl, summed in this
@@ -67,7 +74,7 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fast, R, X): |x| rounds to R * 10**(X - 16) with 10**16 <= R < 10**17,
     certified where ``fast``; zeros are fast with R = X = 0."""
     a = np.abs(x)
-    fast = (a >= 1e-280) & (a <= 1e290)
+    fast = np.isfinite(a) & (a > 0.0)
     v = np.where(fast, a, 1.0)
     X = np.floor(np.log10(v)).astype(np.int64)
     n, frac = _scaled(v, X)
@@ -91,11 +98,11 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
     """Lookup tables: by 0..9999 its four ASCII digits as one uint32 and its
-    trailing zeros (4 for 0); by X + 300 the "e+XX" text and the first layout
+    trailing zeros (4 for 0); by X + 330 the "e+XX" text and the first layout
     of X's notation; by layout (plus _LAYOUTS for a minus) the column mask."""
     ascii4 = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + 48
     zeros4 = (ascii4[:, ::-1] == 48).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-    X = range(-300, 301)
+    X = range(-330, 331)
     exp_text = np.array([b"e%+03d" % x for x in X], dtype="S5").view(np.uint8).reshape(-1, 5)
     first = np.array([(x + 4) * 17 if -4 <= x < 17 else _FIXED + 17 * (abs(x) >= 100) for x in X])
 
@@ -144,7 +151,7 @@ def _chunk_text(x: np.ndarray, src: np.ndarray, mask: np.ndarray) -> bytes:
         rows = np.flatnonzero(X == shift)
         src[rows, _DIGIT + 1:_DIGIT + 1 + shift] = src[rows, _DIGIT + 2:_DIGIT + 2 + shift]
         src[rows, _DIGIT + 1 + shift] = ord(".")
-    X += 300
+    X += 330
     src[:, _EXP:_SEP] = exp_text.take(X, axis=0)
     key = first.take(X) + 16 - zeros + _LAYOUTS * np.signbit(x)
     finite = np.isfinite(x)

@@ -246,18 +246,13 @@ class HypothesisReport:
     finf_certificate: Optional[FInfCertificate]  # None: large-amplitude criterion not certified
 
 
-def report_from_probe(f: ArrayFn, ctx: KernelContext, f_probe: np.ndarray) -> HypothesisReport:
-    """Both estimates and both certifications from f on ``_probe()`` (NaN
-    where f failed), as the gate keeps it: only rho1's scans evaluate f."""
+def build_report(f: ArrayFn, ctx: KernelContext, f_probe: np.ndarray | None = None) -> HypothesisReport:
+    """Both estimates and both certifications from f on ``_probe()``: the
+    gate's values ``f_probe`` (NaN where f failed), so only rho1's scans
+    evaluate f, or, where None, one evaluation of f on the probe."""
     us = _probe()
+    f_probe = _scan(f, us) if f_probe is None else f_probe
     f0 = _ratio_schedule(us[_F0], f_probe[_F0])
     finf = _ratio_schedule(us[_FINF], f_probe[_FINF])
     return HypothesisReport(f0, finf, certify_f0_zero(f, ctx, f0),
                             certify_finf_zero(ctx, finf, f_probe[_SCAN]))
-
-
-def build_report(f: ArrayFn, ctx: KernelContext) -> HypothesisReport:
-    """:func:`report_from_probe` after one evaluation of f on the probe.  No
-    command calls it (they read the gate's probe); the benchmark's traced
-    analyze times it as one span, and the tests read the report from it."""
-    return report_from_probe(f, ctx, _scan(f, _probe()))

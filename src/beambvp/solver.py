@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -191,37 +191,25 @@ def interior_tolerance(n: int, u_norm: float) -> float:
     return max(INTERIOR_FLOOR, 100.0 * float(np.finfo(float).eps) * float(n) ** 4 * u_norm)
 
 
-class _Discretization:
-    """The u-independent parts of one (context, n) grid, each built on its
-    first use: a call raises, or evaluates a, only for a part it reads."""
+class _Discretization(NamedTuple):
+    """The u-independent parts of one (context, n) grid."""
 
-    def __init__(self, ctx: KernelContext, n: int):
-        self.ctx, self.n = ctx, n
-
-    @functools.cached_property
-    def op(self) -> Callable[[np.ndarray], np.ndarray]:
-        return operator_matrix(self.ctx, self.n)
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:  # grid Simpson weights
-        return quadrature.grid_weights(self.n)
-
-    @functools.cached_property
-    def g(self) -> np.ndarray:  # the envelope g at the nodes
-        return g_envelope(np.linspace(0.0, 1.0, self.n + 1))
-
-    @functools.cached_property
-    def aw(self) -> np.ndarray:
-        """Weights aw of the discrete nonlocal condition u(0) = sum of aw_j u_j
-        (grid Simpson weights times a at the nodes, held to (H2) there)."""
-        return self.weights * sample_weight(self.ctx.weight, np.linspace(0.0, 1.0, self.n + 1))[0]
+    op: Callable[[np.ndarray], np.ndarray]
+    weights: np.ndarray  # grid Simpson weights
+    g: np.ndarray  # the envelope g at the nodes
+    aw: np.ndarray  # weights of the discrete nonlocal condition u(0) = sum of aw_j u_j
 
 
 @functools.lru_cache(maxsize=1)  # contexts hash by identity: an entry serves only its own
 def _discretization(ctx: KernelContext, n: int) -> _Discretization:
-    """The discretization of the last (context, n) asked for, shared by every
-    call on that pair; one is held at a time."""
-    return _Discretization(ctx, n)
+    """The discretization of the last (context, n) asked for, built whole on
+    its first call and shared by every call on that pair; one is held at a
+    time.  aw is the grid Simpson weights times a at the nodes, so an a that
+    fails or is negative at a node raises :class:`HypothesisViolation` here."""
+    ts = np.linspace(0.0, 1.0, n + 1)
+    weights = quadrature.grid_weights(n)
+    op = operator_matrix(ctx, n)
+    return _Discretization(op, weights, g_envelope(ts), weights * sample_weight(ctx.weight, ts)[0])
 
 
 def _ode_defects(u: GridFunction, fvals: np.ndarray | None, ctx: KernelContext) -> np.ndarray | None:
@@ -348,7 +336,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
     costs one ``apply_A``, and the returned u one more, from which the
     report is built: its norm bound, A u and ODE rows, which read inf (or
     None) where f or A overflows.  An a that fails or is negative at a grid
-    node raises :class:`HypothesisViolation`.
+    node raises :class:`HypothesisViolation` before the first step.
     """
     op = _discretization(ctx, config.n).op
     x = u = config.initial_guess()

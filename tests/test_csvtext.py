@@ -51,6 +51,9 @@ def test_special_values_and_subnormals():
                                  np.random.default_rng(7).integers(1, 2**52, 200).view(np.float64)])
     specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, *CSV_VALUES]
     assert_like_percent(as_table(np.concatenate([specials, subnormals, -subnormals])))
+    # the extremes of the finite doubles get their digits without %
+    extremes = np.array([4.96e305, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    assert csvtext._digits(np.concatenate([extremes, -extremes]))[0].all()
 
 
 def test_power_ladders_and_their_neighbours():

@@ -13,7 +13,6 @@ from beambvp import cli
 
 # qualified name -> why it stays although no command enters it
 NEVER_ENTERED = {
-    "hypotheses.build_report": "the benchmark's traced analyze times it as one span",
     "solver.norm_bound_check": "the benchmark's traced solve and picard-reuse call it",
     "solver.residual_ode": "the benchmark traces it; the tests' residual checks call it",
     "kernel.green_matrix": "a reference the tests hold the operator to",

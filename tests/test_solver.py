@@ -424,6 +424,23 @@ def test_picard_rejects_weight_breaking_h2_at_grid_node(weight, message):
     assert exc.value.which == "H2" and message in str(exc.value)
 
 
+def test_picard_refuses_weight_negative_at_grid_node_before_any_apply(monkeypatch):
+    # a = (t - 0.0005)^2 - 1e-8 dips below 0 between make_context's samples,
+    # and at the grid node t = 0.0005 of n = 2000
+    apply, applies = solver.apply_A, []
+
+    def counting_apply(*args):
+        applies.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(solver, "apply_A", counting_apply)
+    ctx = make_context(parse("(t-0.0005)^2 - 0.00000001", "t"))
+    with pytest.raises(HypothesisViolation) as exc:
+        picard_solve(F_AFFINE, ctx, SolveConfig(n=2000))
+    assert exc.value.which == "H2" and "a(0.0005) = -1e-08" in str(exc.value)
+    assert len(applies) == 0
+
+
 def test_picard_respects_max_iter(ctx_t2):
     report = picard_solve(F_AFFINE, ctx_t2, SolveConfig(n=100, tol=1e-16, max_iter=2))
     assert report.status == "max_iter"
