@@ -295,7 +295,7 @@ def _solution_csv_rows(u: GridFunction, f: ExpressionFn, ctx: KernelContext,
     residual columns are read from it, and nothing is evaluated."""
     n = u.n
     if report is None:
-        fvals, au = solver.apply_A(u, f, solver._discretization(ctx, n).op)
+        fvals, au = solver.apply_A(u.values, f, solver._discretization(ctx, n).op)
         defects = solver._ode_defects(u, fvals, ctx)
     else:
         au, defects = report.au, report.ode_defects

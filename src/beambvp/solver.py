@@ -46,6 +46,7 @@ BOUND_SLACK = 1e-10
 INTERIOR_FLOOR = 1e-6  # the absolute part of interior_tolerance
 ORACLE_N = 24  # the oracle's Chebyshev degree: D4's entries grow like N^8, and 24 measured best
 NEWTON_RTOL = 1e-8  # the oracle's Newton stop, relative to sup |u|: 30x its rounding floor near mu1
+FD_STEP = 1e-6  # the relative step of the oracle's finite-difference f'
 MAX_GRID_N = 2**20  # a solve takes about 190 bytes per node: under 0.3 GB at the bound
 ANDERSON_DEPTH = 5  # images that picard_solve mixes into each iterate
 
@@ -151,32 +152,24 @@ class CollocationResult:
     amplification: float  # sup norm of (I - A f')^-1 at the solution; inf: not converged
 
 
-def _f_values(u: GridFunction, f: ExpressionFn) -> np.ndarray:
-    """f applied to grid values, clamping sub-slack negatives to 0.
-
-    Raises :class:`HypothesisViolation` if a sampled f value is negative
-    (f must map [0, inf) into [0, inf)) and ``ValueError`` if u dips
-    below the nonnegativity slack.
-    """
-    if u.min() < -NONNEG_SLACK:
-        raise ValueError(f"u has negative entries (min {u.min()}); operator needs u >= 0")
-    xs = np.maximum(u.values, 0.0)
-    out = f(xs)
-    require_nonneg("H1", "f", xs, out)
-    return out
-
-
 def apply_A(
-    u: GridFunction, f: ExpressionFn, op: Callable[[np.ndarray], np.ndarray]
+    v: np.ndarray, f: ExpressionFn, op: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """One application of the integral operator: (f(u), A u) from one
-    evaluation of f, with ``op`` from ``operator_matrix(ctx, u.n)`` (build it
-    once per grid).  A u is >= 0 on the grid, and None where the apply
-    overflows; both are None where f fails at u.  Raises as ``_f_values``."""
+    """One application of the integral operator to grid values v: (f(v), A v)
+    from one evaluation of f at v with sub-slack negatives clamped to 0, with
+    ``op`` from ``operator_matrix(ctx, n)`` (build it once per grid).  A v is
+    >= 0 on the grid, and None where the apply overflows; both are None where
+    f fails.  Raises ``ValueError`` if v dips below the nonnegativity slack and
+    :class:`HypothesisViolation` if a sampled f value is negative (f must map
+    [0, inf) into [0, inf)).  v is left unchanged; both arrays are new."""
+    if v.min() < -NONNEG_SLACK:
+        raise ValueError(f"u has negative entries (min {float(v.min())}); operator needs u >= 0")
+    xs = np.maximum(v, 0.0)
     try:
-        fvals = _f_values(u, f)
+        fvals = f(xs)
     except ExprEvalError:
         return None, None
+    require_nonneg("H1", "f", xs, fvals)
     au = op(fvals)
     return fvals, au if np.isfinite(au).all() else None
 
@@ -239,19 +232,20 @@ def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeRes
 
     interior: max over the interior stencil points of |D4 u + f(u)|.
     bc: max of |u'(0)|, |u'(1)|, |u''(0)| and |u(0) - integral a u|
-    (grid quadrature).  Needs n >= 9.
+    (grid quadrature).  Both read inf where f fails at u; f(u) is taken from
+    ``apply_A``, which raises as documented there.  Needs n >= 9.
     """
     if u.n < 9:
         raise ValueError(f"grid too coarse for fourth differences: n={u.n} < 9")
-    return OdeResidual.of(_ode_defects(u, _f_values(u, f), ctx))
+    fvals, _ = apply_A(u.values, f, _discretization(ctx, u.n).op)
+    return OdeResidual.of(_ode_defects(u, fvals, ctx))
 
 
-def _bound_check(u: GridFunction, fvals: np.ndarray | None, au: np.ndarray | None,
-                 ctx: KernelContext) -> BoundCheck:
-    """``norm_bound_check`` of u from ``apply_A``'s (f(u), A u) at u."""
+def _bound_check(fvals: np.ndarray | None, au: np.ndarray | None, ctx: KernelContext) -> BoundCheck:
+    """``norm_bound_check`` from ``apply_A``'s (f(u), A u) at u, on n = len(fvals) - 1."""
     if fvals is None:
         return BoundCheck(bound=math.inf, au_norm=math.inf, holds=False)
-    grid = _discretization(ctx, u.n)
+    grid = _discretization(ctx, len(fvals) - 1)
     bound = float(np.dot(grid.weights, grid.g * fvals)) / (1.0 - ctx.alpha)
     au_norm = math.inf if au is None else float(np.max(np.abs(au)))
     return BoundCheck(bound=bound, au_norm=au_norm, holds=au_norm <= bound + BOUND_SLACK)
@@ -261,7 +255,7 @@ def norm_bound_check(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> Bo
     """Check ||A u|| <= (1/(1-alpha)) * integral of g f(u) (grid quadrature),
     with 1e-10 slack; an overflow of A u fails it with au_norm inf, a failure
     of f with every field inf."""
-    return _bound_check(u, *apply_A(u, f, _discretization(ctx, u.n).op), ctx)
+    return _bound_check(*apply_A(u.values, f, _discretization(ctx, u.n).op), ctx)
 
 
 def _contraction(r: float, last_delta: float) -> float:
@@ -339,29 +333,30 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
     node raises :class:`HypothesisViolation` before the first step.
     """
     op = _discretization(ctx, config.n).op
-    x = u = config.initial_guess()
+    x = config.initial_guess().values
     fvals, au = apply_A(x, f, op)
-    bound_at_start = _bound_check(x, fvals, au, ctx)
+    bound_at_start = _bound_check(fvals, au, ctx)
     mixer = _AndersonMixer(config.n + 1)
     deltas: list[float] = []
     status = "diverged"
     while au is not None:
-        image, residual = au, au - x.values
+        image, residual = au, au - x
         deltas.append(float(np.abs(residual).max()))
         done = deltas[-1] < config.tol or len(deltas) == config.max_iter
         mixed = None if done else mixer.mix(image, residual, deltas[-1])
         if mixed is not None:
-            x = GridFunction(config.n, mixed)
+            x = mixed
             fvals, au = apply_A(x, f, op)
             if au is not None:
                 continue
             mixer.clear()
-        x = u = GridFunction(config.n, image)  # the plain step, and the report's apply
+        x = image  # the plain step, and the report's apply
         fvals, au = apply_A(x, f, op)
         if done:
             status = "converged" if deltas[-1] < config.tol else "max_iter"
             break
 
+    u = GridFunction(config.n, x)  # the returned iterate: u0 or the last plain step
     defects = _ode_defects(u, fvals, ctx)
     r = math.inf if au is None else float(np.max(np.abs(u.values - au)))
     # the stopping rule's a-posteriori error bounds nothing unless the last step contracted
@@ -375,7 +370,7 @@ def picard_solve(f: ExpressionFn, ctx: KernelContext, config: SolveConfig) -> So
         residual_ode=OdeResidual.of(defects),
         cone=cone_ratio(u, ctx),
         trivial=status != "diverged" and u.sup_norm() < TRIVIALITY_THRESHOLD + stop_error,
-        norm_bound=_bound_check(u, fvals, au, ctx).bound,
+        norm_bound=_bound_check(fvals, au, ctx).bound,
         status=status,
         au=au,
         ode_defects=defects,
@@ -402,6 +397,7 @@ def agreement_bound(report: SolveReport, colloc: CollocationResult, f: Expressio
     if agreement <= stopping:
         return stopping
     u_o = colloc.solution
+    # not apply_A: u_o is no iterate (it may dip below the slack), and an (H1) raise comes after the CSV
     try:
         nystrom = _discretization(ctx, u_o.n).op(f(np.maximum(u_o.values, 0.0)))
     except ExprEvalError:
@@ -412,9 +408,9 @@ def agreement_bound(report: SolveReport, colloc: CollocationResult, f: Expressio
     return 2.0 * (colloc.amplification * (r + e) + colloc.error_estimate)
 
 
-def _f_derivative(f: ExpressionFn, x: np.ndarray, delta: float = 1e-6) -> np.ndarray:
-    """df/du at x >= 0 by finite differences of step delta * max(1, x), one-sided near 0."""
-    step = delta * np.maximum(1.0, x)
+def _f_derivative(f: ExpressionFn, x: np.ndarray) -> np.ndarray:
+    """df/du at x >= 0 by finite differences of step FD_STEP * max(1, x), one-sided near 0."""
+    step = FD_STEP * np.maximum(1.0, x)
     central = x >= step
     lower = np.where(central, x - step, x)
     return (f(x + step) - f(lower)) / np.where(central, 2.0 * step, step)

@@ -15,6 +15,7 @@ from beambvp.quadrature import QuadratureSettings
 from beambvp import solver
 from beambvp.solver import (
     BoundCheck,
+    OdeResidual,
     SolveConfig,
     _f_derivative,
     agreement_bound,
@@ -44,30 +45,30 @@ def oracle_grid(n):
 
 
 def test_apply_A_zero_nonlinearity(ctx_t2):
-    _, au = apply_A(GridFunction.constant(1.0, 200), F_ZERO, operator_matrix(ctx_t2, 200))
+    _, au = apply_A(GridFunction.constant(1.0, 200).values, F_ZERO, operator_matrix(ctx_t2, 200))
     assert GridFunction(200, au).sup_norm() == 0.0
 
 
 def test_apply_A_constant_f_is_linear_solve(ctx_t2):
     op = operator_matrix(ctx_t2, 2000)
-    au = GridFunction(2000, apply_A(GridFunction.constant(0.0, 2000), F_ONE, op)[1])
+    au = GridFunction(2000, apply_A(GridFunction.constant(0.0, 2000).values, F_ONE, op)[1])
     exact = np.polynomial.polynomial.polyval(au.ts, ORACLE_Y1)
     assert float(np.max(np.abs(au.values - exact))) < 1e-8
 
 
 def test_apply_A_at_zero_with_vanishing_f(ctx_t2):
-    _, au = apply_A(GridFunction.constant(0.0, 400), F_BOUNDED, operator_matrix(ctx_t2, 400))
+    _, au = apply_A(GridFunction.constant(0.0, 400).values, F_BOUNDED, operator_matrix(ctx_t2, 400))
     assert GridFunction(400, au).sup_norm() == 0.0
 
 
 def test_apply_A_rejects_negative_input(ctx_t2):
     with pytest.raises(ValueError):
-        apply_A(GridFunction.constant(-1.0, 200), F_ONE, operator_matrix(ctx_t2, 200))
+        apply_A(GridFunction.constant(-1.0, 200).values, F_ONE, operator_matrix(ctx_t2, 200))
 
 
 def test_apply_A_rejects_negative_f(ctx_t2):
     with pytest.raises(HypothesisViolation) as exc:
-        apply_A(GridFunction.constant(0.0, 200), parse("u-1", "u"), operator_matrix(ctx_t2, 200))
+        apply_A(GridFunction.constant(0.0, 200).values, parse("u-1", "u"), operator_matrix(ctx_t2, 200))
     assert exc.value.which == "H1"
 
 
@@ -78,10 +79,23 @@ def test_apply_A_rejects_negative_f(ctx_t2):
 )
 def test_apply_A_reports_failure_as_none(ctx_t2, f_text, u0, f_fails):
     u = GridFunction.constant(u0, 40)
-    fvals, au = apply_A(u, parse(f_text, "u"), operator_matrix(ctx_t2, 40))
+    fvals, au = apply_A(u.values, parse(f_text, "u"), operator_matrix(ctx_t2, 40))
     assert au is None and (fvals is None) == f_fails
     if not f_fails:  # f(u0) ~ 1.8e308 is finite, A f(u0) is not
         assert np.array_equal(fvals, parse(f_text, "u")(u.values))
+
+
+def test_apply_A_and_picard_share_no_arrays(ctx_t2):
+    # apply_A clamps a copy of its input, and the report's solution is its own
+    # read-only array, so no caller's array is changed through another
+    v = np.linspace(-1e-13, 1.0, 201)
+    before = v.copy()
+    fvals, au = apply_A(v, parse("u", "u"), operator_matrix(ctx_t2, 200))
+    assert np.array_equal(v, before)
+    assert not (np.shares_memory(fvals, v) or np.shares_memory(au, v) or np.shares_memory(au, fvals))
+    report = picard_solve(F_AFFINE, ctx_t2, SolveConfig(n=200, u0=1.0))
+    assert not report.solution.values.flags.writeable
+    assert not np.shares_memory(report.solution.values, report.au)
 
 
 def test_apply_A_output_nonnegative(ctx_t2):
@@ -90,7 +104,7 @@ def test_apply_A_output_nonnegative(ctx_t2):
     for f in (F_ONE, F_AFFINE, parse("u^2", "u")):
         for _ in range(5):
             u = GridFunction(400, rng.uniform(0.0, 1.0, 401))
-            assert apply_A(u, f, op)[1].min() >= -1e-12
+            assert apply_A(u.values, f, op)[1].min() >= -1e-12
 
 
 # --- picard_solve ----------------------------------------------------------
@@ -241,7 +255,7 @@ def test_picard_falls_back_to_the_plain_image(ctx_t2, monkeypatch, failures):
 
     def failing_apply(u, f, op):
         fvals, au = (None, None) if len(calls) in failures else apply(u, f, op)
-        calls.append((u.values, au))
+        calls.append((u, au))
         return fvals, au
 
     monkeypatch.setattr(solver, "apply_A", failing_apply)
@@ -279,7 +293,7 @@ def test_picard_singular_gram_takes_the_plain_step(ctx_t2, monkeypatch):
 
     def recording_apply(u, f, op):
         fvals, au = apply(u, f, op)
-        calls.append((u.values, au))
+        calls.append((u, au))
         return fvals, au
 
     monkeypatch.setattr(np.linalg, "solve", singular_once)
@@ -305,6 +319,7 @@ def test_picard_report_carries_its_diagnosis(ctx_t2, f_text, u0, status):
     u = report.solution
     if f_text == "0.001*exp(u)":
         assert report.au is None and report.ode_defects is None
+        assert residual_ode(u, f, ctx_t2) == report.residual_ode == OdeResidual(math.inf, math.inf)
         return
     fvals = f(u.values)
     au = operator_matrix(ctx_t2, 40)(fvals)
@@ -479,7 +494,7 @@ def test_report_invariants(ctx_t2):
         assert report.residual_integral >= 0.0
         assert report.residual_ode.interior >= 0.0 and report.residual_ode.bc >= 0.0
         assert report.trivial == (report.solution.sup_norm() < 1e-8)
-        _, au = apply_A(report.solution, f, operator_matrix(ctx_t2, 400))
+        _, au = apply_A(report.solution.values, f, operator_matrix(ctx_t2, 400))
         au_norm = GridFunction(400, au).sup_norm()
         assert au_norm <= report.norm_bound + 1e-10
         assert report.iterations == len(report.delta_trace)
@@ -519,7 +534,7 @@ def test_solve_config_grid_bound():
 def test_residual_integral_of_exact_solution(ctx_t2):
     # the exact solution is a fixed point: its defect ||u - A u|| is tiny
     u = oracle_grid(2000)
-    _, au = apply_A(u, F_ONE, operator_matrix(ctx_t2, 2000))
+    _, au = apply_A(u.values, F_ONE, operator_matrix(ctx_t2, 2000))
     assert float(np.max(np.abs(u.values - au))) < 1e-10
 
 
@@ -580,7 +595,7 @@ def test_ode_defects_bit_identical_to_scaled_rows(ctx_t2, n):
         assert rows.tobytes() == _scaled_then_unscaled_rows(u, f(u.values), aw).tobytes()
     # where f fails at u there are no rows
     u = GridFunction.constant(800.0, n)
-    fvals, _ = apply_A(u, parse("0.001*exp(u)", "u"), operator_matrix(ctx_t2, n))
+    fvals, _ = apply_A(u.values, parse("0.001*exp(u)", "u"), operator_matrix(ctx_t2, n))
     assert fvals is None and solver._ode_defects(u, fvals, ctx_t2) is None
 
 
@@ -761,6 +776,6 @@ def test_cone_preservation_random_inputs(theta):
     for f in (F_ONE, F_AFFINE, parse("u^2", "u"), F_SATURATING):
         for _ in range(5):
             u = GridFunction(400, rng.uniform(0.0, 1.0, 401))
-            au = GridFunction(400, apply_A(u, f, op)[1])
+            au = GridFunction(400, apply_A(u.values, f, op)[1])
             check = cone_ratio(au, ctx)
             assert check.min_inner >= check.threshold * check.norm - 1e-10
