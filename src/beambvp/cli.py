@@ -217,29 +217,29 @@ def _kernel_proofs(thetas: Sequence[float]) -> list[dict]:
             for check, theta, (verdict, lower, where) in proofs]
 
 
-def _random_nonneg_poly(rng: np.random.Generator, degree: int) -> np.ndarray:
-    """Coefficients of a polynomial >= 0.05 on [0, 1]."""
-    coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+def _random_nonneg_poly(rng: np.random.Generator) -> np.ndarray:
+    """Coefficients of a quartic >= 0.05 on [0, 1]."""
+    coeffs = rng.uniform(-1.0, 1.0, 5)
     xs = np.linspace(0.0, 1.0, 512)
     low = float(np.min(np.polynomial.polynomial.polyval(xs, coeffs)))
     coeffs[0] += 0.05 - low
     return coeffs
 
 
-def _cone_checks(thetas: Sequence[float], n: int) -> list[dict]:
+def _cone_checks(thetas: Sequence[float]) -> list[dict]:
     """Lemma check: solutions of the linear problem for random nonnegative
     loads stay nonnegative and satisfy the cone inequality."""
     rng = np.random.default_rng(_RNG_SEED)
     a = parse("t^2", "t")
     results = []
-    loads = [_random_nonneg_poly(rng, 4) for _ in range(20)]
+    loads = [_random_nonneg_poly(rng) for _ in range(20)]
     for theta in thetas:
         ctx = kernel.make_context(a, theta=theta)
-        op = operator_matrix(ctx, n)
+        op = operator_matrix(ctx, _CONE_N)
         worst_margin, worst_min, worst_case = np.inf, np.inf, -1
         for case, coeffs in enumerate(loads):
-            u = GridFunction(n, op(np.polynomial.polynomial.polyval(
-                np.linspace(0.0, 1.0, n + 1), coeffs)))
+            u = GridFunction(_CONE_N, op(np.polynomial.polynomial.polyval(
+                np.linspace(0.0, 1.0, _CONE_N + 1), coeffs)))
             check = cone_ratio(u, ctx)
             margin = check.min_inner - check.threshold * check.norm
             if margin < worst_margin:
@@ -259,7 +259,7 @@ def _cone_checks(thetas: Sequence[float], n: int) -> list[dict]:
 def cmd_verify_lemmas(args) -> int:
     _check_output_paths(args.report)
     thetas = args.theta or list(_DEFAULT_THETAS)
-    results = _kernel_proofs(thetas) + _cone_checks(thetas, _CONE_N)
+    results = _kernel_proofs(thetas) + _cone_checks(thetas)
     print(f"kernel inequalities by exact proof, cone checks on {_CONE_N} intervals, "
           f"thetas {', '.join(_fmt(t) for t in thetas)}")
     failed = False

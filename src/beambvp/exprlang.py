@@ -8,10 +8,13 @@ parentheses.  Precedence is ``^`` above unary minus above ``* /`` above
 integer literal, which keeps evaluation total on [0, inf) (no fractional
 powers of negative bases, no NaN branches).
 
-There is no implicit multiplication: ``2u`` is a syntax error.
+There is no implicit multiplication: ``2u`` is a syntax error.  ``exp`` is
+the only function.  The caller names the variable: ``parse(src, "u")``.
 
-``exp`` is the only built-in function; adding another means extending
-``FUNCTION_NAMES``, the ``Call`` arm of ``_eval``, and nothing else.
+Each parenthesis pair, ``exp`` call, unary minus and binary operator puts
+what it encloses one level deeper; an expression nests at most
+``MAX_DEPTH`` levels, which keeps parsing and evaluation, a few frames
+of recursion per level, well below Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from typing import Union
 
 import numpy as np
 
-VARIABLE_NAMES = ("u", "t")
-FUNCTION_NAMES = ("exp",)
 _MAX_EXPONENT = 10**6
+MAX_DEPTH = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -35,7 +37,6 @@ class ExprSyntaxError(ValueError):
         hint = f" (expected {', '.join(expected)})" if expected else ""
         super().__init__(f"{message} at offset {offset}{hint}")
         self.offset = offset
-        self.expected = expected
 
 
 class ExprEvalError(ArithmeticError):
@@ -100,8 +101,10 @@ _TOKEN_RE = re.compile(
     (?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
+  | (?P<space>\s+)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -114,27 +117,35 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(src):
-        if src[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {src[i]!r}", i)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(), i))
-        i = m.end()
-    tokens.append(_Token("end", "", len(src)))
-    return tokens
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
+    return tokens + [_Token("end", "", len(src))]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], var: str | None):
+    def __init__(self, tokens: list[_Token], var: str):
         self.tokens = tokens
         self.i = 0
-        self.declared_var = var
-        self.seen_var: str | None = None
+        self.var = var
+        self.open = 0  # levels open around the current token
+        self.depth = 0  # level of the deepest leaf of the node parsed last
+
+    def nested(self, depth: int, pos: int) -> None:
+        """Take ``depth`` as the last node's, refused past ``MAX_DEPTH``."""
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested more than {MAX_DEPTH} levels deep", pos)
+        self.depth = depth
+
+    def inside(self, parse, pos: int) -> Node:
+        """``parse()`` one level deeper, refused before it recurses past the bound."""
+        self.open += 1
+        self.nested(self.open, pos)
+        node = parse()
+        self.open -= 1
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -144,30 +155,33 @@ class _Parser:
         self.i += 1
         return tok
 
+    def unexpected(self, *expected: str) -> ExprSyntaxError:
+        tok = self.peek()
+        what = "end of input" if tok.kind == "end" else repr(tok.text)
+        return ExprSyntaxError(f"unexpected {what}", tok.pos, expected)
+
     def expect_op(self, text: str) -> _Token:
         tok = self.peek()
         if tok.kind != "op" or tok.text != text:
-            raise ExprSyntaxError(
-                f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-                tok.pos,
-                expected=(repr(text),),
-            )
+            raise self.unexpected(repr(text))
         return self.advance()
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> Node:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance()
+            op, left = self.advance(), self.depth
             node = BinOp(op.text, node, self.term(), pos=op.pos)
+            self.nested(max(left, self.depth) + 1, op.pos)
         return node
 
     # term := unary (('*'|'/') unary)*
     def term(self) -> Node:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance()
+            op, left = self.advance(), self.depth
             node = BinOp(op.text, node, self.unary(), pos=op.pos)
+            self.nested(max(left, self.depth) + 1, op.pos)
         return node
 
     # unary := '-' unary | power      (unary minus binds looser than '^')
@@ -175,7 +189,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary(), pos=tok.pos)
+            return Neg(self.inside(self.unary, tok.pos), pos=tok.pos)
         return self.power()
 
     # power := atom ('^' exponent)?
@@ -184,6 +198,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
+            self.nested(self.depth + 1, tok.pos)
             return Power(node, self.exponent(), pos=tok.pos)
         return node
 
@@ -218,6 +233,7 @@ class _Parser:
 
     def atom(self) -> Node:
         tok = self.peek()
+        self.depth = self.open
         if tok.kind == "num":
             value = float(tok.text)
             if math.isinf(value):
@@ -226,35 +242,20 @@ class _Parser:
             return Num(value, pos=tok.pos)
         if tok.kind == "ident":
             self.advance()
-            if tok.text in FUNCTION_NAMES:
+            if tok.text == "exp":
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.inside(self.expr, tok.pos)
                 self.expect_op(")")
                 return Call(tok.text, arg, pos=tok.pos)
-            return Var(self._check_var(tok), pos=tok.pos)
+            if tok.text != self.var:
+                raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.pos, expected=(self.var,))
+            return Var(tok.text, pos=tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expr()
+            node = self.inside(self.expr, tok.pos)
             self.expect_op(")")
             return node
-        raise ExprSyntaxError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.pos,
-            expected=("number", "variable", "'('", "'-'"),
-        )
-
-    def _check_var(self, tok: _Token) -> str:
-        name = tok.text
-        allowed = (self.declared_var,) if self.declared_var else VARIABLE_NAMES
-        if name not in allowed:
-            raise ExprSyntaxError(f"unknown identifier {name!r}", tok.pos, expected=allowed)
-        if self.seen_var is None:
-            self.seen_var = name
-        elif self.seen_var != name:
-            raise ExprSyntaxError(
-                f"expression mixes variables {self.seen_var!r} and {name!r}", tok.pos
-            )
-        return name
+        raise self.unexpected("number", "variable", "'('", "'-'")
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,6 @@ class ExpressionFn:
     """
 
     source: str
-    var: str | None
     ast: Node
 
     def __call__(self, x):
@@ -323,11 +323,9 @@ class ExpressionFn:
         return values
 
 
-def parse(src: str, var: str | None = None) -> ExpressionFn:
-    """Parse ``src`` into an :class:`ExpressionFn`.
-
-    ``var`` pins the variable name ("u" or "t"); when omitted, the first
-    identifier encountered decides.  Raises :class:`ExprSyntaxError` with
+def parse(src: str, var: str) -> ExpressionFn:
+    """Parse ``src``, an expression in the variable ``var`` ("u" or "t"),
+    into an :class:`ExpressionFn`.  Raises :class:`ExprSyntaxError` with
     the byte offset of the first problem.
     """
     if not src or not src.strip():
@@ -337,7 +335,7 @@ def parse(src: str, var: str | None = None) -> ExpressionFn:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(f"trailing input {trailing.text!r}", trailing.pos)
-    return ExpressionFn(source=src, var=parser.seen_var or var, ast=node)
+    return ExpressionFn(source=src, ast=node)
 
 
 _BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}

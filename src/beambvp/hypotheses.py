@@ -120,8 +120,8 @@ class FInfCertificate:
 
 
 @functools.cache  # read-only, so every caller can share one array
-def _scan_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
-    us = np.logspace(lo_exp, hi_exp, SCAN_POINTS)
+def _scan_grid(hi_exp: float) -> np.ndarray:
+    us = np.logspace(-9.0, hi_exp, SCAN_POINTS)
     us.setflags(write=False)
     return us
 
@@ -130,7 +130,7 @@ def _scan_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
 def _probe() -> np.ndarray:
     """u = 0, the scan grid over [1e-9, 1e6], then both limit schedules:
     every point where H1 reads f's sign, read again by the report."""
-    bounded = _scan_grid(-9.0, math.log10(BOUNDEDNESS_CAP))
+    bounded = _scan_grid(math.log10(BOUNDEDNESS_CAP))
     us = np.concatenate(([0.0], bounded, F0_SCHEDULE, FINF_SCHEDULE))
     us.setflags(write=False)
     return us
@@ -150,7 +150,7 @@ def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
     if not f0_estimate.is_zero():
         return None
     epsilon = 1.0 - ctx.alpha
-    us = _scan_grid(-9.0, math.log10(RHO1_CAP))
+    us = _scan_grid(math.log10(RHO1_CAP))
     fus = _scan(f, us)  # a point where f overflows (NaN) lies above the ray
     first_bad = _first(~(fus - epsilon * us <= MARGIN_SLACK))
     if first_bad == len(us):

@@ -126,16 +126,17 @@ def make_context(
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
     taus, ws = quadrature.nodes_weights(0.0, 1.0, quad)
-    inner = quadrature.nodes(theta, 1.0 - theta, quad)
+    inner = quadrature.nodes_weights(theta, 1.0 - theta, quad)[0]
     _, a_taus, a_inner = sample_weight(weight, H2_POINTS, taus, inner)
-    alpha = quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)
+    with np.errstate(over="ignore"):  # a mass past the float limit is inf, which (H2) refuses
+        alpha = quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)
+        beta = quadrature._simpson_sum(inner, a_inner, theta, 1.0 - theta, quad)
     rounding = len(taus) * np.finfo(float).eps * alpha  # bounds the sum's error, as a >= 0
     if not 0.0 < alpha < 1.0 - rounding:  # 1 - alpha must not be rounding alone
         near = f", 1 up to its rounding error {rounding:.2g}," if 0.0 < alpha < 1.0 else ","
         raise HypothesisViolation(
             "H2", f"total mass of a over [0,1] is {alpha}{near} required strictly inside (0, 1)"
         )
-    beta = quadrature._simpson_sum(inner, a_inner, theta, 1.0 - theta, quad)
     return KernelContext(
         weight=weight, theta=theta, alpha=alpha, beta=min(max(beta, 0.0), alpha),
         taus=taus, tau_weights=a_taus * ws / (1.0 - alpha),

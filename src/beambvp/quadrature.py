@@ -36,15 +36,11 @@ class QuadratureSettings:
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-def nodes(lo: float, hi: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    """All abscissae the rule samples on [lo, hi], in increasing order."""
-    return nodes_weights(lo, hi, settings)[0]
-
-
 def nodes_weights(
     lo: float, hi: float, settings: QuadratureSettings = DEFAULT_SETTINGS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat abscissa and weight arrays with sum(w * fn(x)) ~ integral."""
+    """Flat abscissa and weight arrays with sum(w * fn(x)) ~ integral; the
+    abscissae are all the rule samples on [lo, hi], in increasing order."""
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     width = (hi - lo) / settings.panels
@@ -68,12 +64,12 @@ def integrate(
     """
     if lo == hi:
         return 0.0
-    xs = nodes(lo, hi, settings)  # raises ValueError when lo > hi
+    xs = nodes_weights(lo, hi, settings)[0]  # raises ValueError when lo > hi
     return _simpson_sum(xs, fn(xs), lo, hi, settings)
 
 
 def _simpson_sum(xs: np.ndarray, ys, lo: float, hi: float, settings: QuadratureSettings) -> float:
-    """The rule's sum of samples ys at xs = nodes(lo, hi, settings); the
+    """The rule's sum of samples ys at xs = nodes_weights(lo, hi, settings)[0]; the
     one reduction behind :func:`integrate`, for callers holding samples."""
     ys = np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
     bad = np.flatnonzero(~np.isfinite(ys))

@@ -77,6 +77,7 @@ def test_problem_comments_and_values():
         "f = 1\na = t^2\nu0 = constant 1e400\n",  # overflows to inf
         "f = u +\na = t^2\n",  # expression syntax
         "just text\n",
+        pytest.param("f = " + "(" * 10**4 + "u" + ")" * 10**4 + "\na = t^2\n", id="nested-10k"),
     ],
 )
 def test_problem_rejects_bad_input(text):
@@ -302,6 +303,20 @@ def test_solve_parse_error_exit(tmp_path, capsys):
     path = write_problem(tmp_path, "f = u +\na = t^2\n")
     assert cli.main(["solve", path]) == 3
     assert "offset 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_wrong_variable_exit(tmp_path, capsys, command):
+    # f is a function of u and a of t: the other variable is an unknown identifier
+    for text, message in [
+        ("f = u+t\na = t^2\n", "unknown identifier 't' at offset 2 (expected u)"),
+        ("f = u\na = u\n", "unknown identifier 'u' at offset 0 (expected t)"),
+    ]:
+        path = write_problem(tmp_path, text)
+        out = ["--out", str(tmp_path / "u.csv")] if command == "solve" else []
+        assert cli.main([command, path, *out]) == 3
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not (tmp_path / "u.csv").exists()
 
 
 def test_solve_missing_file_exit(capsys):
@@ -806,6 +821,8 @@ NEAR_FLOAT_LIMIT = {
     "f-linear": ("f = u\na = 0.999\nu0 = constant 1e308\n", 4),
     # the ODE rows and their tolerance overflow only after division by h^4 = 2^-80
     "f-huge": ("f = 1e308\na = t^2\ngrid_n = 1048576\nmax_iter = 2\n", 0),
+    # the mass of a overflows to inf, which (H2) refuses
+    "a-huge": ("f = u\na = 1.7e308\n", 2),
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beambvp.exprlang import (
+    MAX_DEPTH,
     BinOp,
     Call,
     ExprEvalError,
@@ -21,118 +22,117 @@ from beambvp.exprlang import (
 
 
 def test_parses_saturating_selfcoupling():
-    fn = parse("u*(1-exp(-u))")
-    assert fn.var == "u"
+    fn = parse("u*(1-exp(-u))", "u")
     assert isinstance(fn.ast, BinOp) and fn.ast.op == "*"
     assert fn.ast.left == Var("u")
 
 
 def test_parses_quadratic_weight():
-    fn = parse("t^2")
-    assert fn.var == "t"
+    fn = parse("t^2", "t")
     assert fn.ast == Power(Var("t"), 2)
 
 
 def test_parses_bounded_saturation():
-    fn = parse("1-exp(-u)")
+    fn = parse("1-exp(-u)", "u")
     assert fn.ast == BinOp("-", Num(1.0), Call("exp", Neg(Var("u"))))
 
 
 def test_incomplete_expression_offset():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse("u +")
+        parse("u +", "u")
     assert exc.value.offset == 3
 
 
 def test_no_implicit_multiplication():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse("2u")
+        parse("2u", "u")
     assert exc.value.offset == 1
 
 
 def test_unknown_identifier():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse("x+1")
+        parse("x+1", "u")
     assert "x" in str(exc.value)
 
 
 def test_declared_variable_enforced():
-    with pytest.raises(ExprSyntaxError):
-        parse("u+1", var="t")
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("u+1", "t")
+    assert str(exc.value) == "unknown identifier 'u' at offset 0 (expected t)"
 
 
 def test_mixed_variables_rejected():
-    with pytest.raises(ExprSyntaxError):
-        parse("u+t")
+    # the undeclared variable is an unknown identifier even beside the declared one
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("u+t", "u")
+    assert str(exc.value) == "unknown identifier 't' at offset 2 (expected u)"
 
 
 def test_exponent_must_be_integer_literal():
     with pytest.raises(ExprSyntaxError):
-        parse("u^2.5")
+        parse("u^2.5", "u")
     with pytest.raises(ExprSyntaxError):
-        parse("u^-2")
+        parse("u^-2", "u")
     with pytest.raises(ExprSyntaxError):
-        parse("u^(2)")
+        parse("u^(2)", "u")
 
 
 def test_empty_expression():
     with pytest.raises(ExprSyntaxError):
-        parse("   ")
+        parse("   ", "u")
 
 
 def test_precedence_mul_over_add():
-    assert parse("2+3*4")(0.0) == 14.0
+    assert parse("2+3*4", "u")(0.0) == 14.0
 
 
 def test_unary_minus_binds_looser_than_power():
-    assert parse("-u^2")(2.0) == -4.0
+    assert parse("-u^2", "u")(2.0) == -4.0
 
 
 def test_power_right_associative():
-    assert parse("u^2^3")(2.0) == 2.0**8
+    assert parse("u^2^3", "u")(2.0) == 2.0**8
 
 
 def test_huge_exponent_rejected_at_parse_time():
     with pytest.raises(ExprSyntaxError):
-        parse("u^9^9^9")
+        parse("u^9^9^9", "u")
     with pytest.raises(ExprSyntaxError):
-        parse("u^9999999")
+        parse("u^9999999", "u")
 
 
 def test_overflowing_literal_rejected_at_its_offset():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse("u*0+1e400")
+        parse("u*0+1e400", "u")
     assert exc.value.offset == 4
     assert "'1e400'" in str(exc.value)
-    assert parse("1e-400")(1.0) == 0.0  # underflow to zero is a finite literal
+    assert parse("1e-400", "u")(1.0) == 0.0  # underflow to zero is a finite literal
 
 
 def test_eval_examples():
-    assert parse("u*(1-exp(-u))")(0.0) == 0.0
-    assert parse("t^2")(0.5) == 0.25
-    assert abs(parse("1-exp(-u)")(math.log(3.0)) - 2.0 / 3.0) < 1e-15
+    assert parse("u*(1-exp(-u))", "u")(0.0) == 0.0
+    assert parse("t^2", "t")(0.5) == 0.25
+    assert abs(parse("1-exp(-u)", "u")(math.log(3.0)) - 2.0 / 3.0) < 1e-15
 
 
 def test_division_by_zero():
-    fn = parse("1/(u-1)")
+    fn = parse("1/(u-1)", "u")
     with pytest.raises(ExprEvalError):
         fn(1.0)
 
 
 def test_overflow_reported():
-    fn = parse("exp(exp(u))")
+    fn = parse("exp(exp(u))", "u")
     with pytest.raises(ExprEvalError):
         fn(100.0)
 
 
 def test_constant_expression_has_no_variable():
-    fn = parse("3*2")
-    assert fn.var is None
-    assert fn(123.0) == 6.0
+    assert parse("3*2", "u")(123.0) == 6.0
 
 
 def test_eval_is_pure():
-    fn = parse("u*(1-exp(-u))/(1+u^2)")
+    fn = parse("u*(1-exp(-u))/(1+u^2)", "u")
     first = struct.pack("<d", fn(0.731))
     for _ in range(5):
         assert struct.pack("<d", fn(0.731)) == first
@@ -334,7 +334,7 @@ def assert_value(got, expected, err, exact):
 @example("exp(u)*exp(u)-u", SPECIAL_POINTS)
 @example("u*(1-exp(-u))", SPECIAL_POINTS)
 def test_array_walk_matches_scalar_reference(src, points):
-    fn = parse(src)
+    fn = parse(src, "u")
     exact = "exp" not in src and "^" not in src
     kept, outcomes = [], []
     for x in points:
@@ -380,7 +380,7 @@ def test_array_walk_matches_scalar_reference(src, points):
 
 
 def test_array_error_carries_first_failure():
-    fn = parse("1/(u-1)+exp(u)")
+    fn = parse("1/(u-1)+exp(u)", "u")
     with pytest.raises(ExprEvalError) as info:
         fn(np.array([0.0, 800.0, 1.0, 2.0]))
     exc = info.value
@@ -391,8 +391,43 @@ def test_array_error_carries_first_failure():
 
 
 def test_constant_expression_keeps_array_shape():
-    out = parse("3*2")(np.zeros((2, 3)))
+    out = parse("3*2", "u")(np.zeros((2, 3)))
     assert out.shape == (2, 3) and (out == 6.0).all()
+
+
+# --- the nesting bound ---------------------------------------------------------
+
+NESTINGS = {
+    "parentheses": lambda d: "(" * d + "u" + ")" * d,
+    "unary minus": lambda d: "-" * d + "u",
+    "exp": lambda d: "exp(" * d + "u" + ")" * d,
+    "sum": lambda d: "+".join(["u"] * (d + 1)),
+}
+# offset of the token that opens level MAX_DEPTH + 1 of each shape
+CROSSING = {"parentheses": MAX_DEPTH, "unary minus": MAX_DEPTH, "exp": 4 * MAX_DEPTH,
+            "sum": 2 * MAX_DEPTH + 1}
+
+
+@pytest.mark.parametrize("depth", [50, MAX_DEPTH, MAX_DEPTH + 1, 10**4])
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_bound(shape, depth):
+    src = NESTINGS[shape](depth)
+    if depth > MAX_DEPTH:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(src, "u")
+        message = f"expression nested more than {MAX_DEPTH} levels deep at offset {CROSSING[shape]}"
+        assert str(exc.value) == message
+        return
+    fn = parse(src, "u")
+    for x in (0.5, -3.0):
+        try:
+            expected = reference_eval(fn.ast, x)
+        except RefError as ref:  # nested exp overflows
+            with pytest.raises(ExprEvalError) as exc:
+                fn(np.array([x]))
+            assert (str(exc.value), exc.value.offset) == (str(ref), ref.offset)
+        else:
+            assert fn(np.array([x])).tolist() == [expected]
 
 
 # --- the flag-gated call against the masked walk -----------------------------
@@ -410,7 +445,7 @@ def masked_call(fn, xs):
 @example("exp(u)*exp(u)-u", SPECIAL_POINTS)
 @example("exp(-u)/(u-1)", SPECIAL_POINTS)
 def test_flag_gated_call_matches_masked_walk(src, points):
-    fn = parse(src)
+    fn = parse(src, "u")
     for xs in (np.array(points), np.array(points[0])):
         try:
             expected = masked_call(fn, xs)

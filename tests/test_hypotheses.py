@@ -128,7 +128,7 @@ def test_certificate_within_the_scan_slack(ctx_t2):
     # so rho1 stays at the scan point that the slack let pass
     f = parse("0.66666666666667663*u*u^4/(u^4+0.00000001)", "u")
     cert = build_report(f, ctx_t2).f0_certificate
-    us = hypotheses._scan_grid(-9.0, 3.0)
+    us = hypotheses._scan_grid(3.0)
     k = int(np.argmax(f(us) - cert.epsilon * us > hypotheses.MARGIN_SLACK))
     assert cert.rho1 == us[k - 1]
     assert 0.0 < f(cert.rho1) - cert.epsilon * cert.rho1 <= hypotheses.MARGIN_SLACK
@@ -306,8 +306,8 @@ def test_report_from_the_gate_probe_matches_build_report(ctx_t2, text):
 
 def test_probe_grids_are_cached_read_only_and_bit_identical():
     for hi_exp in (math.log10(hypotheses.RHO1_CAP), math.log10(hypotheses.BOUNDEDNESS_CAP)):
-        grid = hypotheses._scan_grid(-9.0, hi_exp)
-        assert grid is hypotheses._scan_grid(-9.0, hi_exp) and not grid.flags.writeable
+        grid = hypotheses._scan_grid(hi_exp)
+        assert grid is hypotheses._scan_grid(hi_exp) and not grid.flags.writeable
         assert grid.tobytes() == np.logspace(-9.0, hi_exp, 10**4).tobytes()
     probe = hypotheses._probe()
     assert probe is hypotheses._probe() and not probe.flags.writeable

@@ -10,7 +10,6 @@ from beambvp.quadrature import (
     QuadratureSettings,
     grid_weights,
     integrate,
-    nodes,
     nodes_weights,
 )
 
@@ -86,7 +85,7 @@ def test_nodes_weights_consistent_with_integrate():
     xs, ws = nodes_weights(0.25, 0.75, DEFAULT_SETTINGS)
     assert np.all((xs >= 0.25) & (xs <= 0.75))
     assert float(np.dot(ws, xs**2)) == pytest.approx(13.0 / 96.0, abs=1e-14)
-    assert len(nodes(0.0, 1.0, DEFAULT_SETTINGS)) == len(xs)
+    assert len(nodes_weights(0.0, 1.0, DEFAULT_SETTINGS)[0]) == len(xs)
 
 
 def test_settings_validation():
