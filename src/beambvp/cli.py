@@ -176,6 +176,8 @@ def _check_output_paths(*paths: str | Path | None, source: str | None = None) ->
     loop, lies in no writable directory, or names the same file as the input
     ``source`` or as another output.  Paths resolve with os.path.realpath,
     which stops at a loop where Path.resolve raises before Python 3.13."""
+    if not any(paths):
+        return  # no output, so nothing to compare the input with
     claimed = {Path(os.path.realpath(source)): f"input {source}"} if source else {}
     for path in filter(None, paths):
         target = Path(os.path.realpath(path))
@@ -550,7 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ProblemError, ExprSyntaxError) as exc:
+    except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:  # an output path that cannot be written

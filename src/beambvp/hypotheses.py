@@ -136,6 +136,13 @@ def _probe() -> np.ndarray:
     return us
 
 
+@functools.cache
+def _head_stop() -> int:
+    """How many scan points of ``_probe()`` (after u = 0) lie at or below
+    BOUNDEDNESS_CAP / 10: the scan is sorted, so they are its prefix."""
+    return int(np.searchsorted(_probe()[1:_SCAN.stop], BOUNDEDNESS_CAP / 10.0, side="right"))
+
+
 def certify_f0_zero(f: ArrayFn, ctx: KernelContext,
                     f0_estimate: LimitEstimate) -> Optional[F0Certificate]:
     """Certificate for the small-amplitude criterion, or None.
@@ -184,22 +191,18 @@ def certify_finf_zero(ctx: KernelContext, finf_estimate: LimitEstimate,
     us = _probe()[1:_SCAN.stop]
     f_at_zero, fvals = float(fvals[0]), fvals[1:]
     sup_full = max(float(np.max(fvals)), f_at_zero)
-    head = us <= BOUNDEDNESS_CAP / 10.0
-    sup_head = max(float(np.max(fvals[head])), f_at_zero)
+    sup_head = max(float(np.max(fvals[:_head_stop()])), f_at_zero)
     if sup_full <= sup_head * (1.0 + 1e-9):
         return FInfCertificate(bounded_case=True, L=sup_full * (1.0 + 1e-6))
 
     eta = 1.0 - ctx.alpha
     margins = fvals - eta * us
     bad = np.nonzero(margins > MARGIN_SLACK)[0]
-    if bad.size == 0:
-        rho2 = float(us[0])
-    elif int(bad[-1]) == len(us) - 1:
+    last = int(bad[-1]) if bad.size else 0  # rho2's index: us[:last + 1] lie at or below it
+    if last == len(us) - 1:
         return None  # f still above the admissible ray at the probe cap
-    else:
-        rho2 = float(us[int(bad[-1])])
-    below = us <= rho2
-    sigma = max(float(np.max(fvals[below])), f_at_zero) / eta
+    rho2 = float(us[last])
+    sigma = max(float(np.max(fvals[:last + 1])), f_at_zero) / eta
     return FInfCertificate(
         bounded_case=False, eta=eta, rho2=rho2, sigma=sigma, rho_hat2=max(sigma, rho2)
     )

@@ -24,6 +24,7 @@ Key inequalities used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,11 +92,12 @@ class KernelContext:
 
 
 def sample_weight(weight: ExpressionFn, *point_sets: np.ndarray) -> list:
-    """a on each of ``point_sets`` from one evaluation on their concatenation,
-    the one place the package evaluates a.  (H2) holds a finite and >= 0
-    there.  Only when it fails is a evaluated again, on the sorted points,
-    to raise :class:`HypothesisViolation`: a point where a cannot be
-    evaluated is named before a negative value, each at its smallest t."""
+    """a on each of ``point_sets``, as slices of one evaluation on their
+    concatenation: the one place the package evaluates a.  (H2) holds a
+    finite and >= 0 there.  Only when it fails is a evaluated again, on the
+    sorted points, to raise :class:`HypothesisViolation`: a point where a
+    cannot be evaluated is named before a negative value, each at its
+    smallest t."""
     ts = np.concatenate(point_sets)
     try:
         a_vals = weight(ts)
@@ -108,7 +110,21 @@ def sample_weight(weight: ExpressionFn, *point_sets: np.ndarray) -> list:
         except ExprEvalError as exc:
             raise HypothesisViolation("H2", f"a cannot be evaluated at t = {exc.x}: {exc}") from exc
         require_nonneg("H2", "a", ts, a_vals)
-    return np.split(a_vals, np.cumsum([len(p) for p in point_sets[:-1]]))
+    parts, start = [], 0
+    for points in point_sets:
+        parts.append(a_vals[start:start + len(points)])
+        start += len(points)
+    return parts
+
+
+@functools.lru_cache(maxsize=4)  # two rules per (theta, panels); read-only, so contexts share them
+def _simpson_rule(lo: float, hi: float, quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
+    """``quadrature.nodes_weights(lo, hi, quad)``, built once per (interval,
+    panels): a rule depends on nothing else, the weight a least of all."""
+    rule = quadrature.nodes_weights(lo, hi, quad)
+    for part in rule:
+        part.setflags(write=False)
+    return rule
 
 
 def make_context(
@@ -125,8 +141,8 @@ def make_context(
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
-    taus, ws = quadrature.nodes_weights(0.0, 1.0, quad)
-    inner = quadrature.nodes_weights(theta, 1.0 - theta, quad)[0]
+    taus, ws = _simpson_rule(0.0, 1.0, quad)
+    inner = _simpson_rule(theta, 1.0 - theta, quad)[0]
     _, a_taus, a_inner = sample_weight(weight, H2_POINTS, taus, inner)
     with np.errstate(over="ignore"):  # a mass past the float limit is inf, which (H2) refuses
         alpha = quadrature._simpson_sum(taus, a_taus, 0.0, 1.0, quad)

@@ -71,7 +71,9 @@ def integrate(
 def _simpson_sum(xs: np.ndarray, ys, lo: float, hi: float, settings: QuadratureSettings) -> float:
     """The rule's sum of samples ys at xs = nodes_weights(lo, hi, settings)[0]; the
     one reduction behind :func:`integrate`, for callers holding samples."""
-    ys = np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != xs.shape:  # a scalar from integrate's fn
+        ys = np.broadcast_to(ys, xs.shape)
     bad = np.flatnonzero(~np.isfinite(ys))
     if bad.size:
         x = float(xs[bad[0]])

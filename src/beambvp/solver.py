@@ -162,16 +162,25 @@ def apply_A(
     f fails.  Raises ``ValueError`` if v dips below the nonnegativity slack and
     :class:`HypothesisViolation` if a sampled f value is negative (f must map
     [0, inf) into [0, inf)).  v is left unchanged; both arrays are new."""
+    fvals = _f_values(v, f)
+    if fvals is None:
+        return None, None
+    au = op(fvals)
+    return fvals, au if np.isfinite(au).all() else None
+
+
+def _f_values(v: np.ndarray, f: ExpressionFn) -> np.ndarray | None:
+    """f at grid values v with sub-slack negatives clamped to 0, None where f
+    fails; raises as :func:`apply_A` documents."""
     if v.min() < -NONNEG_SLACK:
         raise ValueError(f"u has negative entries (min {float(v.min())}); operator needs u >= 0")
     xs = np.maximum(v, 0.0)
     try:
         fvals = f(xs)
     except ExprEvalError:
-        return None, None
+        return None
     require_nonneg("H1", "f", xs, fvals)
-    au = op(fvals)
-    return fvals, au if np.isfinite(au).all() else None
+    return fvals
 
 
 def interior_tolerance(n: int, u_norm: float) -> float:
@@ -232,13 +241,13 @@ def residual_ode(u: GridFunction, f: ExpressionFn, ctx: KernelContext) -> OdeRes
 
     interior: max over the interior stencil points of |D4 u + f(u)|.
     bc: max of |u'(0)|, |u'(1)|, |u''(0)| and |u(0) - integral a u|
-    (grid quadrature).  Both read inf where f fails at u; f(u) is taken from
-    ``apply_A``, which raises as documented there.  Needs n >= 9.
+    (grid quadrature).  Both read inf where f fails at u; f(u) is taken with
+    ``apply_A``'s checks, which raise as documented there, and no operator
+    apply.  Needs n >= 9.
     """
     if u.n < 9:
         raise ValueError(f"grid too coarse for fourth differences: n={u.n} < 9")
-    fvals, _ = apply_A(u.values, f, _discretization(ctx, u.n).op)
-    return OdeResidual.of(_ode_defects(u, fvals, ctx))
+    return OdeResidual.of(_ode_defects(u, _f_values(u.values, f), ctx))
 
 
 def _bound_check(fvals: np.ndarray | None, au: np.ndarray | None, ctx: KernelContext) -> BoundCheck:

@@ -795,6 +795,22 @@ def test_analyze_out_file(tmp_path, capsys):
     assert "alpha = " in report.read_text()
 
 
+def test_analyze_resolves_the_input_only_beside_an_output(tmp_path, capsys, monkeypatch):
+    path = write_problem(tmp_path, "f = u*(1-exp(-u))\na = t^2\n")
+    resolved, realpath = [], cli.os.path.realpath
+
+    def counting_realpath(name, *args, **kwargs):
+        resolved.append(str(name))
+        return realpath(name, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os.path, "realpath", counting_realpath)
+    assert cli.main(["analyze", path]) == 0
+    assert resolved == []
+    report = str(tmp_path / "analysis.txt")
+    assert cli.main(["analyze", path, "--out", report]) == 0
+    assert resolved == [path, report]
+
+
 def test_analyze_prints_the_constants_of_solve_summary(tmp_path, capsys):
     path = write_problem(tmp_path, "f = 1\na = t^2\ntheta = 0.1\ngrid_n = 40\n")
     assert cli.main(["analyze", path]) == 0

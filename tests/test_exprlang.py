@@ -68,6 +68,17 @@ def test_mixed_variables_rejected():
     assert str(exc.value) == "unknown identifier 't' at offset 2 (expected u)"
 
 
+@pytest.mark.parametrize("src, message, offset", [
+    ("u $ 1", "unexpected character '$' at offset 2", 2),
+    ("(u+1", "unexpected end of input at offset 4 (expected ')')", 4),
+    ("exp u", "unexpected 'u' at offset 4 (expected '(')", 4),
+], ids=["bad-character", "unclosed-paren", "call-without-paren"])
+def test_syntax_error_message_and_offset(src, message, offset):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(src, "u")
+    assert str(exc.value) == message and exc.value.offset == offset
+
+
 def test_exponent_must_be_integer_literal():
     with pytest.raises(ExprSyntaxError):
         parse("u^2.5", "u")

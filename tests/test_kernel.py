@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beambvp import kernel
 from beambvp.errors import HypothesisViolation
 from beambvp.exprlang import parse
 from beambvp.kernel import (
@@ -147,6 +148,46 @@ def test_make_context_masses_match_integrate(text, panels, theta):
     ctx = make_context(weight, theta=theta, quad=quad)
     assert ctx.alpha == integrate(weight, 0.0, 1.0, quad)
     assert ctx.beta == min(max(integrate(weight, theta, 1.0 - theta, quad), 0.0), ctx.alpha)
+
+
+def test_contexts_on_equal_theta_and_panels_share_one_read_only_rule():
+    kernel._simpson_rule.cache_clear()
+    weight, quad = parse("t^2", "t"), QuadratureSettings(panels=200)
+    first, second = make_context(weight, quad=quad), make_context(weight, quad=QuadratureSettings(200))
+    assert second.taus is first.taus and not first.taus.flags.writeable
+    assert kernel._simpson_rule.cache_info().misses == 2  # [0, 1] and [theta, 1 - theta], once each
+    with pytest.raises(ValueError):
+        first.taus[0] = 1.0
+
+
+def test_another_theta_gets_its_own_inner_points():
+    kernel._simpson_rule.cache_clear()
+    sampled = []
+
+    def weight(ts):
+        sampled.append(ts.copy())
+        return ts**2
+
+    skip = len(kernel.H2_POINTS) + len(nodes_weights(0.0, 1.0)[0])  # the inner rule's points come last
+    for theta in (0.25, 0.1, 0.25):
+        make_context(weight, theta=theta)
+        inner = sampled[-1][skip:]
+        assert inner.tobytes() == nodes_weights(theta, 1.0 - theta)[0].tobytes()
+    assert kernel._simpson_rule.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("text", ["t^2", "exp(-t)/2", "0.3+0.5*t*(1-t)-0.2*t^3"])
+@pytest.mark.parametrize("panels", [1, 7, 200])
+@pytest.mark.parametrize("theta", [0.1, 0.4999])
+def test_shared_rules_build_the_context_bit_identically(text, panels, theta):
+    weight, quad = parse(text, "t"), QuadratureSettings(panels=panels)
+    make_context(weight, theta=theta, quad=quad)  # fills the cache, if the rules are not in it
+    warm = make_context(weight, theta=theta, quad=quad)
+    kernel._simpson_rule.cache_clear()
+    cold = make_context(weight, theta=theta, quad=quad)
+    assert (warm.alpha, warm.beta) == (cold.alpha, cold.beta)
+    assert warm.tau_weights.tobytes() == cold.tau_weights.tobytes()
+    assert warm.taus.tobytes() == cold.taus.tobytes() == nodes_weights(0.0, 1.0, quad)[0].tobytes()
 
 
 def test_sample_weight_evaluates_the_points_as_given_once():

@@ -557,6 +557,24 @@ def test_residual_ode_rejects_negative_f(ctx_t2):
         residual_ode(u, parse("-1", "u"), ctx_t2)
 
 
+def test_residual_ode_applies_no_operator(ctx_t2, monkeypatch):
+    # residual_ode reads f(u) alone: the grid operator is neither applied nor needed
+    applies, cached = [], solver._discretization
+
+    def counting_discretization(ctx, n):
+        grid = cached(ctx, n)
+
+        def op(v):
+            applies.append(len(v))
+            return grid.op(v)
+        return grid._replace(op=op)
+
+    monkeypatch.setattr(solver, "_discretization", counting_discretization)
+    u = oracle_grid(400)
+    assert residual_ode(u, F_ONE, ctx_t2).bc < 1e-8
+    assert applies == []
+
+
 def test_residual_ode_needs_fine_grid(ctx_t2):
     with pytest.raises(ValueError):
         residual_ode(GridFunction.constant(0.0, 8), F_ONE, ctx_t2)
