@@ -324,6 +324,7 @@ def _solve_problem(problem: ProblemFile, h1h2, u0_override: Optional[str], out_p
     _write_csv(out_path, ["t", "u", "Au", "fourth_diff_residual"], rows)
     if plot_path:
         _write_csv(plot_path, ["t", "u"], rows[:, :2])
+    del rows  # its (n + 1) x 4 floats are freed before the gate's apply below
     _print_solve_summary(problem, outcome)
     print(f"solution written to {out_path}")
     if report.status != "converged" or colloc.status != "converged":
@@ -376,8 +377,7 @@ def _print_solve_summary(problem: ProblemFile, outcome: dict) -> None:
         ("oracle_agreement_sup",
          None if "diverged" in (report.status, colloc.status) else outcome["agreement"]),
     ]
-    for key, value in lines:
-        print(f"{key} = {_fmt(value)}")
+    print("\n".join(f"{key} = {_fmt(value)}" for key, value in lines))  # one write, not 27
 
 
 def cmd_solve(args) -> int:
@@ -420,8 +420,7 @@ def _print_analysis(problem: ProblemFile, h1h2, report: hypotheses.HypothesisRep
         f"predecessor_superlinear_applicable = {_fmt(superlinear)}  # needs f0 = 0 and finf divergent",
         f"predecessor_sublinear_applicable = {_fmt(sublinear)}  # needs f0 divergent and finf = 0",
     ]
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     return lines
 
 

@@ -12,6 +12,8 @@ import functools
 
 import numpy as np
 
+from .grid import nodes
+
 CHUNK = 4096  # cells per chunk, rounded down to whole rows
 _KMIN, _KMAX = -292, 340  # the scale factors 10**k that every finite nonzero |x| needs
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split constant
@@ -122,30 +124,59 @@ def _tables() -> tuple[np.ndarray, ...]:
 def table_chunks(cells: np.ndarray):
     """Yield the CSV text of the 2-D float array ``cells``: cells joined by
     ",", each row ended by a newline, in chunks of whole rows."""
+    for rows in _masked_rows(cells):
+        yield rows.tobytes().translate(None, b"\0")  # masked-out bytes are NUL
+
+
+def _masked_rows(cells: np.ndarray):
+    """Yield the byte rows of ``cells``, masked-out bytes NUL, per chunk in one
+    reused array; a leading column bit-equal to the grid nodes is cached."""
     rows, cols = cells.shape
     step = max(CHUNK // cols, 1)
-    size = min(step, rows) * cols
-    src = np.zeros((size, _SEP + 1), np.uint8)
+    head = int(cols > 1 and np.array_equal(cells[:, 0].view(np.int64), nodes(rows - 1).view(np.int64)))
+    column = _node_column(rows) if head else None
+    width = min(step, rows)
+    out = np.empty((width, cols, _SEP + 1), np.uint8)
+    src = np.zeros((width * (cols - head), _SEP + 1), np.uint8)
     src[:, _MINUS] = ord("-")
-    src[:, _SEP] = np.tile(np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8), size // cols)
+    src[:, _SEP] = np.tile(np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)[head:], width)
     mask = np.empty_like(src, dtype=bool)
     for start in range(0, rows, step):
-        x = cells[start:start + step].ravel()
-        yield _chunk_text(x, src[:x.size], mask[:x.size])
+        block = cells[start:start + step]
+        if head:
+            out[:len(block), 0] = column[start:start + step]
+        x = block[:, head:].ravel()
+        _chunk_text(x, src[:x.size], mask[:x.size], out[:len(block), head:])
+        yield out[:len(block)]
 
 
-def _chunk_text(x: np.ndarray, src: np.ndarray, mask: np.ndarray) -> bytes:
-    """The text of the cells ``x``, built in the rows ``src``."""
+@functools.lru_cache(maxsize=4)  # read-only: every table on one grid shares it
+def _node_column(rows: int) -> np.ndarray:
+    """The byte rows of the grid nodes as a leading column, by :func:`_masked_rows`
+    on their one-column table, which has no leading column to look up."""
+    column = np.empty((rows, _SEP + 1), np.uint8)
+    for start, chunk in zip(range(0, rows, CHUNK), _masked_rows(nodes(rows - 1)[:, None])):
+        column[start:start + CHUNK] = chunk[:, 0]
+    column[:, _SEP] = ord(",")
+    column.flags.writeable = False
+    return column
+
+
+def _chunk_text(x: np.ndarray, src: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
+    """The byte rows of the cells ``x`` into ``out``, masked, built in the rows ``src``."""
     ascii4, zeros4, exp_text, first, masks = _tables()
     fast, R, X = _digits(x)
     src[:, _LEAD:_DIGIT + 2] = np.frombuffer(_PREFIX, np.uint8)  # text may overwrite it
-    groups = [R // 10**j % 10**4 for j in (12, 8, 4, 0)]
-    src[:, _DIGIT] = R // 10**16 + 48
+    quotients = [R // 10**j for j in (16, 12, 8, 4)] + [R]  # no %: int64 % costs 4x //
+    groups = [low - 10**4 * high for high, low in zip(quotients, quotients[1:])]
+    src[:, _DIGIT] = quotients[0] + 48
     src[:, _DIGIT + 2:_EXP] = ascii4.take(np.stack(groups, axis=1)).view(np.uint8)
-    zeros = 0
-    for group in groups:  # trailing zeros, counted on through all-zero groups
-        z = zeros4.take(group)
-        zeros = np.where(z == 4, zeros + 4, z)
+    zeros = zeros4.take(groups[-1])
+    more = np.flatnonzero(zeros == 4)
+    for group in groups[-2::-1]:  # trailing zeros, counted on where all of the later groups are 0
+        z = zeros4.take(group[more])
+        zeros[more] += z
+        more = more[z == 4]
     # fixed notation from X = 1 on: d1..dX move left and the point follows dX
     for shift in np.flatnonzero(np.bincount(X.clip(0, 17), minlength=18)[1:17]) + 1:
         rows = np.flatnonzero(X == shift)
@@ -167,5 +198,5 @@ def _chunk_text(x: np.ndarray, src: np.ndarray, mask: np.ndarray) -> bytes:
         src[slow, 1:1 + _WIDE] = text
         key[slow] = _FALLBACK - 1 + np.count_nonzero(text, axis=1)
     np.take(masks, key, axis=0, out=mask, mode="clip")  # "raise" would buffer out
-    # masked-out bytes become NUL, which no %.17g text holds, and are deleted
-    return np.multiply(src, mask, out=mask.view(np.uint8)).tobytes().translate(None, b"\0")
+    # masked-out bytes become NUL, which no %.17g text holds
+    np.multiply(src.reshape(out.shape), mask.reshape(out.shape), out=out)

@@ -132,12 +132,22 @@ class _Parser:
         self.var = var
         self.open = 0  # levels open around the current token
         self.depth = 0  # level of the deepest leaf of the node parsed last
+        self.deeper_right: set[int] = set()  # ids of the BinOps whose right operand nests deeper
 
     def nested(self, depth: int, pos: int) -> None:
         """Take ``depth`` as the last node's, refused past ``MAX_DEPTH``."""
         if depth > MAX_DEPTH:
             raise ExprSyntaxError(f"expression nested more than {MAX_DEPTH} levels deep", pos)
         self.depth = depth
+
+    def binary(self, op: _Token, left: Node, operand) -> BinOp:
+        """``left op operand()``, one level above its deeper operand."""
+        depth = self.depth
+        node = BinOp(op.text, left, operand(), pos=op.pos)
+        if self.depth > depth:
+            self.deeper_right.add(id(node))
+        self.nested(max(depth, self.depth) + 1, op.pos)
+        return node
 
     def inside(self, parse, pos: int) -> Node:
         """``parse()`` one level deeper, refused before it recurses past the bound."""
@@ -170,18 +180,14 @@ class _Parser:
     def expr(self) -> Node:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op, left = self.advance(), self.depth
-            node = BinOp(op.text, node, self.term(), pos=op.pos)
-            self.nested(max(left, self.depth) + 1, op.pos)
+            node = self.binary(self.advance(), node, self.term)
         return node
 
     # term := unary (('*'|'/') unary)*
     def term(self) -> Node:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op, left = self.advance(), self.depth
-            node = BinOp(op.text, node, self.unary(), pos=op.pos)
-            self.nested(max(left, self.depth) + 1, op.pos)
+            node = self.binary(self.advance(), node, self.unary)
         return node
 
     # unary := '-' unary | power      (unary minus binds looser than '^')
@@ -279,6 +285,8 @@ class ExpressionFn:
 
     source: str
     ast: Node
+    # ids of ast's BinOps whose right operand nests deeper: the fast walk evaluates it first
+    deeper_right: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -288,7 +296,7 @@ class ExpressionFn:
             # result only by raising overflow, divide or invalid
             try:
                 with np.errstate(all="raise", under="ignore"):
-                    values = _eval(self.ast, xs, None)
+                    values = _eval(self.ast, xs, None, self.deeper_right)
             except FloatingPointError:
                 pass  # some element may fail: the masked walk decides
         if values is None:
@@ -335,35 +343,41 @@ def parse(src: str, var: str) -> ExpressionFn:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(f"trailing input {trailing.text!r}", trailing.pos)
-    return ExpressionFn(source=src, ast=node)
+    return ExpressionFn(source=src, ast=node, deeper_right=frozenset(parser.deeper_right))
 
 
 _BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _eval(node: Node, x: np.ndarray, fail):
+def _eval(node: Node, x: np.ndarray, fail, deeper_right: frozenset[int] = frozenset()):
     """Post-order walk, so ``fail`` sees each element's checks in the order
-    a one-point evaluation meets them; with ``fail=None`` no check runs."""
+    a one-point evaluation meets them; with ``fail=None`` no check runs, and the BinOps
+    in ``deeper_right`` take their deeper, right operand first (Sethi and Ullman, J. ACM
+    17, 1970), which holds fewer arrays and changes no value."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return x
     if isinstance(node, Neg):
-        return -_eval(node.operand, x, fail)
+        return -_eval(node.operand, x, fail, deeper_right)
     if isinstance(node, Call):
-        arg = _eval(node.arg, x, fail)
+        arg = _eval(node.arg, x, fail, deeper_right)
         value = np.exp(arg)
         if fail:
             fail(np.isinf(value) & np.isfinite(arg), "overflow in exp", node.pos)
         return value
     if isinstance(node, Power):
-        base = _eval(node.base, x, fail)
+        base = _eval(node.base, x, fail, deeper_right)
         value = np.power(base, float(node.exponent))
         if fail:
             fail(~np.isfinite(value) & np.isfinite(base), "overflow in power", node.pos)
     else:
-        left = _eval(node.left, x, fail)
-        right = _eval(node.right, x, fail)
+        if id(node) in deeper_right:  # fail is None: no check sees the order
+            right = _eval(node.right, x, fail, deeper_right)
+            left = _eval(node.left, x, fail, deeper_right)
+        else:
+            left = _eval(node.left, x, fail, deeper_right)
+            right = _eval(node.right, x, fail, deeper_right)
         if fail and node.op == "/":
             fail(right == 0.0, "division by zero", node.pos)
         value = _BINOPS[node.op](left, right)

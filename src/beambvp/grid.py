@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 NONNEG_SLACK = 1e-12
+
+
+@functools.lru_cache(maxsize=4)  # read-only, so every caller on one grid shares them
+def nodes(n: int) -> np.ndarray:
+    """The uniform nodes t_i = i/n, i = 0..n, built once per n."""
+    ts = np.linspace(0.0, 1.0, n + 1)
+    ts.flags.writeable = False
+    return ts
 
 
 @dataclass(frozen=True)
@@ -38,7 +47,7 @@ class GridFunction:
 
     @property
     def ts(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n + 1)
+        return nodes(self.n)
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())

@@ -35,6 +35,7 @@ sample-the-kernel-at-nodes Nystrom matrix does not give:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -62,30 +63,42 @@ def _partial_moment3(xi: np.ndarray) -> np.ndarray:
     return np.stack([x4 / 4 - 3 * x5 / 20 + x6 / 30, x5 / 5 - x6 / 15, x6 / 30 - x5 / 20])
 
 
-def operator_matrix(ctx: KernelContext, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The (n+1) x (n+1) operator mapping grid y-values to grid u-values,
-    as its apply function ``op(y)``.
-
-    Building it does the y-independent work once: where each in-panel point
-    (odd node, node n, abscissa of the context's correction rule) falls in
-    its panel.  ``op(y)`` then applies it in O(n) time and memory; no
-    matrix is formed.
-    """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"operator grid needs even n >= 2, got n={n}")
+@functools.lru_cache(maxsize=4)  # read-only, so every context on one grid and rule shares it
+def _geometry(n: int, rule: bytes) -> tuple:
+    """The operator's arrays that neither y nor a changes, for n and the
+    correction rule whose abscissae ``ctx.taus`` has the bytes ``rule``."""
     panels = n // 2
     d = 1.0 / panels
     # x = t / d, in panel units, of the points inside a panel: the odd nodes,
     # node n, then the rule's abscissae
-    x = np.concatenate((np.arange(1, n + 1, 2) / 2.0, [panels], ctx.taus * panels))
+    x = np.concatenate((np.arange(1, n + 1, 2) / 2.0, [panels], np.frombuffer(rule) * panels))
     p = np.minimum(x.astype(int), panels - 1)
     xi = x - p
     panel_ends = 2 * p + np.arange(3)[:, None]  # y[2p + b]: basis b's value on each panel
     dx, moment3, cube = xi * d, _partial_moment3(xi), (x * d) ** 3
     start_cube = (np.arange(panels) * d) ** 3
     local_scale = d ** np.arange(1, 5)[:, None]
-    shift_coeffs = [[comb(m, k) * d ** (m - k) for k in range(m)] for m in range(4)]
-    d4 = d**4
+    shift_coeffs = tuple(tuple(comb(m, k) * d ** (m - k) for k in range(m)) for m in range(4))
+    for array in (dx, moment3, cube, start_cube, local_scale):
+        array.flags.writeable = False
+    # p and panel_ends stay writeable: numpy's take copies a read-only index array on every call
+    return p, panel_ends, dx, moment3, cube, start_cube, local_scale, shift_coeffs, d**4
+
+
+def operator_matrix(ctx: KernelContext, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The (n+1) x (n+1) operator mapping grid y-values to grid u-values,
+    as its apply function ``op(y)``.
+
+    Building it takes the y-independent work, where each in-panel point
+    (odd node, node n, abscissa of the context's correction rule) falls in
+    its panel, from :func:`_geometry`, once per (n, rule).  ``op(y)`` then
+    applies it in O(n) time and memory; no matrix is formed.
+    """
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"operator grid needs even n >= 2, got n={n}")
+    panels = n // 2
+    p, panel_ends, dx, moment3, cube, start_cube, local_scale, shift_coeffs, d4 = \
+        _geometry(n, ctx.taus.tobytes())
 
     def apply(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)

@@ -37,7 +37,7 @@ import numpy as np
 from . import quadrature
 from .errors import require_nonneg
 from .exprlang import ExpressionFn, ExprEvalError
-from .grid import GridFunction, NONNEG_SLACK
+from .grid import GridFunction, NONNEG_SLACK, nodes
 from .kernel import KernelContext, g_envelope, sample_weight
 from .linear import ConeCheck, cone_ratio, operator_matrix
 
@@ -193,6 +193,16 @@ def interior_tolerance(n: int, u_norm: float) -> float:
     return max(INTERIOR_FLOOR, 100.0 * float(np.finfo(float).eps) * float(n) ** 4 * u_norm)
 
 
+@functools.lru_cache(maxsize=4)  # read-only, so every context on one grid shares them
+def _grid(n: int) -> tuple[np.ndarray, ...]:
+    """The grid's arrays that no context changes: the nodes, their Simpson
+    weights and the envelope g at them."""
+    arrays = nodes(n), quadrature.grid_weights(n), g_envelope(nodes(n))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 class _Discretization(NamedTuple):
     """The u-independent parts of one (context, n) grid."""
 
@@ -208,10 +218,9 @@ def _discretization(ctx: KernelContext, n: int) -> _Discretization:
     its first call and shared by every call on that pair; one is held at a
     time.  aw is the grid Simpson weights times a at the nodes, so an a that
     fails or is negative at a node raises :class:`HypothesisViolation` here."""
-    ts = np.linspace(0.0, 1.0, n + 1)
-    weights = quadrature.grid_weights(n)
+    ts, weights, g = _grid(n)
     op = operator_matrix(ctx, n)
-    return _Discretization(op, weights, g_envelope(ts), weights * sample_weight(ctx.weight, ts)[0])
+    return _Discretization(op, weights, g, weights * sample_weight(ctx.weight, ts)[0])
 
 
 def _ode_defects(u: GridFunction, fvals: np.ndarray | None, ctx: KernelContext) -> np.ndarray | None:
@@ -425,6 +434,15 @@ def _f_derivative(f: ExpressionFn, x: np.ndarray) -> np.ndarray:
     return (f(x + step) - f(lower)) / np.where(central, 2.0 * step, step)
 
 
+def _clenshaw(c: np.ndarray, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """numpy's ``chebval(x, c)`` for len(c) >= 3, given x2 = 2x: its Clenshaw
+    recurrence, operation for operation (so bit for bit), updating c1 in place."""
+    c0, c1 = np.full(len(x), c[-2]), np.full(len(x), c[-1])
+    for coeff in c[-3::-1]:
+        c0, c1 = np.subtract(coeff, c1), np.add(c0, np.multiply(c1, x2, out=c1), out=c1)
+    return np.add(c0, np.multiply(c1, x, out=c1), out=c1)
+
+
 def collocation_oracle(
     f: ExpressionFn, ctx: KernelContext, config: SolveConfig
 ) -> CollocationResult:
@@ -497,8 +515,8 @@ def collocation_oracle(
             halving, status = 30, "stagnated"
         halvings.append(halving)
         trace.append(res_norm)
-    ts = np.linspace(0.0, 1.0, config.n + 1)
-    solution = np.polynomial.chebyshev.chebval(1.0 - 2.0 * ts, to_coeffs @ u)
+    x = 1.0 - 2.0 * nodes(config.n)  # the nodes in the Chebyshev variable
+    solution = _clenshaw(to_coeffs @ u, x, 2.0 * x)
     return CollocationResult(
         solution=GridFunction(config.n, solution), status=status, iterations=len(halvings),
         residual=res_norm, residual_trace=trace, halvings=halvings,

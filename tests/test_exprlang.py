@@ -1,6 +1,7 @@
 import math
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,3 +503,19 @@ def test_fast_path_ignores_exp_underflow(size):
     with np.errstate(all="raise", under="ignore"):
         values = np.exp(_with_bad_element(size, False, -800.0))
     assert values[-1] == 0.0
+
+
+def test_right_nested_chain_holds_as_few_arrays_as_a_left_nested_one():
+    # the fast walk evaluates a binary node's deeper operand first, so neither
+    # chain holds one intermediate array per level; the values stay the masked walk's
+    x = np.linspace(0.0, 1.0, 65537)
+    for src in ("u*2+(" * 49 + "u*2" + ")" * 49, "(" * 49 + "u*2" + ")+u*2" * 49):
+        fn = parse(src, "u")
+        tracemalloc.start()
+        try:
+            values = fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * x.nbytes
+        assert np.array_equal(values.view(np.int64), fn._masked_eval(x).view(np.int64))

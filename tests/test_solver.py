@@ -797,3 +797,14 @@ def test_cone_preservation_random_inputs(theta):
             au = GridFunction(400, apply_A(u.values, f, op)[1])
             check = cone_ratio(au, ctx)
             assert check.min_inner >= check.threshold * check.norm - 1e-10
+
+
+def test_clenshaw_is_chebval_bit_for_bit():
+    # the oracle's interpolant onto the grid, with x = 1 - 2t and 2x cached per n
+    rng = np.random.default_rng(5)
+    for n in (20, 800, 1601):
+        x = 1.0 - 2.0 * np.linspace(0.0, 1.0, n + 1)
+        for scale in (1e-310, 1.0, 1e200):  # subnormal, plain and large coefficients
+            c = rng.normal(size=solver.ORACLE_N + 1) * scale
+            expected = np.polynomial.chebyshev.chebval(x, c)
+            assert solver._clenshaw(c, x, 2.0 * x).tobytes() == expected.tobytes()
